@@ -1,6 +1,7 @@
 package hotnoc
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -10,6 +11,11 @@ import (
 // paper-scale runtimes; the full-scale numbers are produced by the
 // benchmarks and cmd tools.
 const testScale = 8
+
+// testLab is the scaled-down Lab the package's experiment tests share, so
+// a configuration built or an orbit characterized by one test is served
+// from the caches in the next.
+var testLab = NewLab(WithScale(testScale))
 
 func TestConfigsRoster(t *testing.T) {
 	cfgs := Configs()
@@ -44,7 +50,7 @@ func TestSchemesRoster(t *testing.T) {
 // reduced configurations: every scheme on A and E, X-Y shift positive on
 // both, base temperatures calibrated to the paper.
 func TestFigure1Scaled(t *testing.T) {
-	res, err := RunFigure1(testScale, []string{"A", "E"})
+	res, err := testLab.Figure1(context.Background(), []string{"A", "E"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +90,7 @@ func TestFigure1Scaled(t *testing.T) {
 // TestPeriodSweepScaled: the penalty falls roughly in proportion to the
 // period while the peak rises only marginally.
 func TestPeriodSweepScaled(t *testing.T) {
-	pts, err := RunPeriodSweep("A", XYShift(), []int{1, 4, 8}, testScale)
+	pts, err := testLab.PeriodSweep(context.Background(), "A", XYShift(), []int{1, 4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +120,7 @@ func TestPeriodSweepScaled(t *testing.T) {
 // TestMigrationEnergyScaled: every scheme's migration energy raises the
 // average chip temperature, and rotation has the longest migrations.
 func TestMigrationEnergyScaled(t *testing.T) {
-	studies, err := RunMigrationEnergy("E", testScale)
+	studies, err := testLab.MigrationEnergy(context.Background(), "E")
 	if err != nil {
 		t.Fatal(err)
 	}

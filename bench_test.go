@@ -63,9 +63,10 @@ func BenchmarkFigure1(b *testing.B) {
 // BenchmarkFigure1Means regenerates the §3 scheme averages (paper:
 // X-Y shift 4.62 °C, rotation 4.15 °C mean peak reduction).
 func BenchmarkFigure1Means(b *testing.B) {
+	lab := NewLab()
 	var res *Figure1Result
 	for i := 0; i < b.N; i++ {
-		r, err := RunFigure1(1, nil)
+		r, err := lab.Figure1(context.Background(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,11 +131,11 @@ func BenchmarkPeriodSweepShared(b *testing.B) {
 // concurrent sweep engine (all configurations and schemes, one worker per
 // core), the headline workload of the orchestration layer.
 func BenchmarkSweepFigure1(b *testing.B) {
-	r := NewSweepRunner(SweepOptions{Scale: 1})
+	lab := NewLab()
 	pts := SweepGrid([]string{"A", "B", "C", "D", "E"}, Schemes(), nil)
 	var outs []SweepOutcome
 	for i := 0; i < b.N; i++ {
-		o, err := r.Run(context.Background(), pts)
+		o, err := lab.SweepAll(context.Background(), pts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,7 +21,8 @@ func main() {
 		maxRiseC = 0.25 // thermal budget versus the fastest period
 	)
 
-	pts, err := hotnoc.RunPeriodSweep(config, hotnoc.XYShift(), []int{1, 2, 4, 8, 16}, scale)
+	lab := hotnoc.NewLab(hotnoc.WithScale(scale))
+	pts, err := lab.PeriodSweep(context.Background(), config, hotnoc.XYShift(), []int{1, 2, 4, 8, 16})
 	if err != nil {
 		log.Fatal(err)
 	}

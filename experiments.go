@@ -3,49 +3,10 @@ package hotnoc
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"hotnoc/internal/geom"
 	"hotnoc/internal/report"
 )
-
-// defaultLabs shares one Lab per (scale, workers, cache-dir) across the
-// deprecated free functions, so legacy callers hitting the same
-// parameters benefit from the session's build and characterization caches
-// instead of paying for a fresh Lab on every call. Each shared Lab (and
-// its caches) lives for the rest of the process; callers that vary these
-// parameters across many values and care about memory should hold their
-// own Lab instead — which is the migration the deprecation asks for.
-var (
-	defaultLabsMu sync.Mutex
-	defaultLabs   = map[defaultLabKey]*Lab{}
-)
-
-type defaultLabKey struct {
-	scale, workers int
-	cacheDir       string
-}
-
-// defaultLab returns the shared Lab for (scale, workers, cacheDir),
-// creating it on first use. Parameters are normalized the same way Lab
-// options are, so scale 0 and scale 1 share one Lab.
-func defaultLab(scale, workers int, cacheDir string) *Lab {
-	if scale <= 0 {
-		scale = 1
-	}
-	if workers <= 0 {
-		workers = 0
-	}
-	key := defaultLabKey{scale: scale, workers: workers, cacheDir: cacheDir}
-	defaultLabsMu.Lock()
-	defer defaultLabsMu.Unlock()
-	lab, ok := defaultLabs[key]
-	if !ok {
-		lab = NewLab(WithScale(scale), WithWorkers(workers), WithCacheDir(cacheDir))
-		defaultLabs[key] = lab
-	}
-	return lab
-}
 
 // Figure1Cell is one bar of the paper's Figure 1: one migration scheme on
 // one circuit configuration.
@@ -76,27 +37,6 @@ type Figure1Result struct {
 	// rotation 4.15 °C). Duplicate configuration names count once, so a
 	// repeated entry cannot skew the average.
 	MeanReductionC map[string]float64
-}
-
-// RunFigure1 regenerates Figure 1: every migration scheme on every circuit
-// configuration, at the base one-block migration period. scale divides the
-// workload size (1 = paper scale); configs limits the set (nil = A-E).
-//
-// Deprecated: use Lab.Figure1, which shares the session's build and
-// characterization caches across calls.
-func RunFigure1(scale int, configs []string) (*Figure1Result, error) {
-	return RunFigure1Ctx(context.Background(), scale, configs, 0)
-}
-
-// RunFigure1Ctx is RunFigure1 with context cancellation and an explicit
-// worker count (0 = GOMAXPROCS).
-//
-// Deprecated: use Lab.Figure1. RunFigure1Ctx routes through a shared
-// default Lab per (scale, workers), so repeated legacy calls do reuse the
-// build and characterization caches, but the Lab API also streams,
-// persists caches to disk and reports progress.
-func RunFigure1Ctx(ctx context.Context, scale int, configs []string, workers int) (*Figure1Result, error) {
-	return defaultLab(scale, workers, "").Figure1(ctx, configs)
 }
 
 // Figure1FromOutcomes assembles a Figure1Result from the outcomes of the
@@ -180,25 +120,6 @@ type PeriodPoint struct {
 	PeakRiseC float64
 }
 
-// RunPeriodSweep regenerates the migration-period trade-off on one
-// configuration with one scheme.
-//
-// Deprecated: use Lab.PeriodSweep, which shares the session's build and
-// characterization caches across calls.
-func RunPeriodSweep(config string, scheme Scheme, blocks []int, scale int) ([]PeriodPoint, error) {
-	return RunPeriodSweepCtx(context.Background(), config, scheme, blocks, scale, 0)
-}
-
-// RunPeriodSweepCtx is RunPeriodSweep with context cancellation and an
-// explicit worker count (0 = GOMAXPROCS).
-//
-// Deprecated: use Lab.PeriodSweep. RunPeriodSweepCtx routes through a
-// shared default Lab per (scale, workers), so repeated legacy calls do
-// reuse the build and characterization caches.
-func RunPeriodSweepCtx(ctx context.Context, config string, scheme Scheme, blocks []int, scale, workers int) ([]PeriodPoint, error) {
-	return defaultLab(scale, workers, "").PeriodSweep(ctx, config, scheme, blocks)
-}
-
 // PeriodPointsFromOutcomes assembles the migration-period study from the
 // outcomes of a single-configuration, single-scheme period grid in point
 // order. It is the aggregation Lab.PeriodSweep applies locally and remote
@@ -235,25 +156,6 @@ type EnergyStudy struct {
 	MigrationEnergyJ float64
 	// MigrationCycles is the average migration duration in cycles.
 	MigrationCycles int64
-}
-
-// RunMigrationEnergy regenerates the migration-energy ablation for every
-// scheme on one configuration (the paper highlights rotation on E).
-//
-// Deprecated: use Lab.MigrationEnergy, which shares the session's build
-// and characterization caches across calls.
-func RunMigrationEnergy(config string, scale int) ([]EnergyStudy, error) {
-	return RunMigrationEnergyCtx(context.Background(), config, scale, 0)
-}
-
-// RunMigrationEnergyCtx is RunMigrationEnergy with context cancellation
-// and an explicit worker count (0 = GOMAXPROCS).
-//
-// Deprecated: use Lab.MigrationEnergy. RunMigrationEnergyCtx routes
-// through a shared default Lab per (scale, workers), so repeated legacy
-// calls do reuse the build and characterization caches.
-func RunMigrationEnergyCtx(ctx context.Context, config string, scale, workers int) ([]EnergyStudy, error) {
-	return defaultLab(scale, workers, "").MigrationEnergy(ctx, config)
 }
 
 // MigrationEnergyGrid returns the migration-energy ablation grid for one

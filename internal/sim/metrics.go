@@ -7,11 +7,10 @@ import (
 	"hotnoc/obs"
 )
 
-// metrics holds the runner's pre-registered instruments. All fields are
-// resolved once at construction so the recording paths are pure atomic
-// operations: a *metrics is nil when no registry was configured, and
-// every method is nil-receiver safe, which keeps call sites free of
-// conditionals.
+// metrics holds the runner's instruments, resolved once at construction
+// so the recording paths are pure atomic operations. The counters are the
+// runner's own (obs.Registry.OwnedCounter): Lab.Stats reads them, and the
+// registry's series sum them with any other runner of the same scale.
 type metrics struct {
 	buildSeconds *obs.Histogram
 	charSeconds  *obs.Histogram
@@ -22,17 +21,15 @@ type metrics struct {
 	buildHits   *obs.Counter
 	buildMisses *obs.Counter
 
+	// decodes counts engine block decodes — the unit of expensive NoC
+	// work. A fully cache-served sweep leaves it untouched.
 	decodes *obs.Counter
 	points  *obs.Counter
 }
 
 // newMetrics registers the pipeline instruments on reg, labeled with
-// the runner's scale so several Labs can share one registry. A nil
-// registry returns nil, which disables recording.
+// the runner's scale so several runners can share one registry.
 func newMetrics(reg *obs.Registry, scale int) *metrics {
-	if reg == nil {
-		return nil
-	}
 	s := strconv.Itoa(scale)
 	stage := func(name string) *obs.Histogram {
 		return reg.Histogram("hotnoc_stage_seconds",
@@ -40,7 +37,7 @@ func newMetrics(reg *obs.Registry, scale int) *metrics {
 			obs.Labels{"scale": s, "stage": name}, obs.LatencyBuckets())
 	}
 	cache := func(kind, result string) *obs.Counter {
-		return reg.Counter("hotnoc_cache_requests_total",
+		return reg.OwnedCounter("hotnoc_cache_requests_total",
 			"Cross-run cache requests by artifact kind and result.",
 			obs.Labels{"scale": s, "kind": kind, "result": result})
 	}
@@ -52,10 +49,10 @@ func newMetrics(reg *obs.Registry, scale int) *metrics {
 		charMisses:   cache("characterization", "miss"),
 		buildHits:    cache("build", "hit"),
 		buildMisses:  cache("build", "miss"),
-		decodes: reg.Counter("hotnoc_decodes_total",
+		decodes: reg.OwnedCounter("hotnoc_decodes_total",
 			"Engine block decodes performed for NoC characterizations.",
 			obs.Labels{"scale": s}),
-		points: reg.Counter("hotnoc_points_evaluated_total",
+		points: reg.OwnedCounter("hotnoc_points_evaluated_total",
 			"Grid points evaluated by the thermal stage.",
 			obs.Labels{"scale": s}),
 	}
@@ -65,9 +62,6 @@ func newMetrics(reg *obs.Registry, scale int) *metrics {
 // observe latency: a hit's disk-or-memory load says nothing about the
 // annealing cost the histogram tracks.
 func (m *metrics) buildDone(hit bool, d time.Duration) {
-	if m == nil {
-		return
-	}
 	if hit {
 		m.buildHits.Inc()
 	} else {
@@ -79,9 +73,6 @@ func (m *metrics) buildDone(hit bool, d time.Duration) {
 // charDone records one classified characterization resolution; cold
 // orbits observe latency.
 func (m *metrics) charDone(hit bool, d time.Duration) {
-	if m == nil {
-		return
-	}
 	if hit {
 		m.charHits.Inc()
 	} else {
@@ -95,19 +86,6 @@ func (m *metrics) charDone(hit bool, d time.Duration) {
 //
 //hotnoc:noalloc
 func (m *metrics) evaluateDone(d time.Duration) {
-	if m == nil {
-		return
-	}
 	m.points.Inc()
 	m.evalSeconds.Observe(d.Seconds())
-}
-
-// addDecodes accumulates engine decodes from one characterization.
-//
-//hotnoc:noalloc
-func (m *metrics) addDecodes(n uint64) {
-	if m == nil {
-		return
-	}
-	m.decodes.Add(n)
 }

@@ -166,11 +166,12 @@ type Options struct {
 	// the sweep pipeline advances. Delivery is serialized; the callback
 	// must not block for long and must not call back into the runner.
 	Progress func(Event)
-	// Metrics, when set, registers the runner's pipeline instruments on
-	// this registry — stage-latency histograms, cache hit/miss counters,
-	// decode and point counters, all labeled by scale — and records into
-	// them as sweeps run. Recording is allocation-free; several runners
-	// (one per scale) may share one registry.
+	// Metrics is the registry the runner records into: stage-latency
+	// histograms, cache hit/miss counters, decode and point counters, all
+	// labeled by scale. Nil gives the runner a private registry; either
+	// way its counters are its own, so several runners (one per scale, or
+	// several of one scale) may share one registry. Recording is
+	// allocation-free.
 	Metrics *obs.Registry
 }
 
@@ -194,23 +195,6 @@ type Runner struct {
 	chars  *CharCache
 	met    *metrics
 
-	// decodes counts engine block decodes performed on behalf of this
-	// runner — the unit of expensive NoC work. A fully cache-served sweep
-	// leaves it untouched.
-	decodes atomic.Uint64
-
-	// charHits / charMisses count characterization requests served from
-	// the cross-run cache versus simulated on the NoC.
-	charHits   atomic.Uint64
-	charMisses atomic.Uint64
-
-	// buildHits / buildMisses count builds served from the cross-run
-	// cache (memory or reconstituted from a disk snapshot) versus
-	// constructed cold (annealed + calibrated). One count per
-	// (configuration, scale) over the runner's lifetime.
-	buildHits   atomic.Uint64
-	buildMisses atomic.Uint64
-
 	// busy gauges workers currently executing a task, for utilization
 	// reporting.
 	busy atomic.Int64
@@ -230,11 +214,15 @@ type Runner struct {
 // NewRunner returns a runner with the given options.
 func NewRunner(opts Options) *Runner {
 	opts = opts.withDefaults()
+	reg := opts.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	return &Runner{
 		opts:          opts,
 		builds:        NewBuildCache(opts.CacheDir, opts.CacheLimit),
 		chars:         NewCharCache(opts.CacheDir, opts.CacheLimit),
-		met:           newMetrics(opts.Metrics, opts.Scale),
+		met:           newMetrics(reg, opts.Scale),
 		emittedBuilds: map[BuildKey]bool{},
 		countedBuilds: map[BuildKey]bool{},
 	}
@@ -244,13 +232,13 @@ func NewRunner(opts Options) *Runner {
 // performed — the cost of the NoC characterizations it could not serve
 // from cache. Sweeps repeated over the same grid (or warm-restarted from
 // a cache directory) leave the counter unchanged.
-func (r *Runner) Decodes() uint64 { return r.decodes.Load() }
+func (r *Runner) Decodes() uint64 { return r.met.decodes.Value() }
 
 // CacheStats returns how many characterization requests were served from
 // the cross-run cache (memory or disk) versus simulated on the
 // cycle-accurate NoC.
 func (r *Runner) CacheStats() (hits, misses uint64) {
-	return r.charHits.Load(), r.charMisses.Load()
+	return r.met.charHits.Value(), r.met.charMisses.Value()
 }
 
 // BuildStats returns how many configuration builds were served from the
@@ -259,7 +247,7 @@ func (r *Runner) CacheStats() (hits, misses uint64) {
 // process warm-started from a populated cache directory reports zero
 // misses.
 func (r *Runner) BuildStats() (hits, misses uint64) {
-	return r.buildHits.Load(), r.buildMisses.Load()
+	return r.met.buildHits.Value(), r.met.buildMisses.Value()
 }
 
 // Workers returns the size of the runner's worker pool.
@@ -337,11 +325,6 @@ func (r *Runner) builtFor(config string, prog func(Event)) (*chipcfg.Built, erro
 	r.countedBuilds[key] = true
 	r.buildAccountMu.Unlock()
 	if count {
-		if hit {
-			r.buildHits.Add(1)
-		} else {
-			r.buildMisses.Add(1)
-		}
 		//hotnoc:allow determinism wall-clock metric timing only
 		r.met.buildDone(hit, time.Since(start))
 		emit(prog, Event{Stage: StageBuildDone, Config: config, Scale: r.opts.Scale, Point: -1,
@@ -404,8 +387,7 @@ func (r *Runner) charFor(config string, scheme core.Scheme, prog func(Event), se
 			return nil, fmt.Errorf("clone: %w", err)
 		}
 		ch, err := sys.Characterize(scheme)
-		r.decodes.Add(sys.Engine.Decodes)
-		r.met.addDecodes(sys.Engine.Decodes)
+		r.met.decodes.Add(sys.Engine.Decodes)
 		if err != nil {
 			return nil, err
 		}
@@ -415,11 +397,6 @@ func (r *Runner) charFor(config string, scheme core.Scheme, prog func(Event), se
 		return nil, nil, fmt.Errorf("sim: config %s scheme %s: %w", config, scheme.Name, err)
 	}
 	if account {
-		if hit {
-			r.charHits.Add(1)
-		} else {
-			r.charMisses.Add(1)
-		}
 		//hotnoc:allow determinism wall-clock metric timing only
 		r.met.charDone(hit, time.Since(start))
 		emit(prog, Event{Stage: StageCharacterizeDone, Config: config, Scale: r.opts.Scale,

@@ -25,14 +25,14 @@ import (
 // has a path to ambient. For this class, LU factorisation without
 // pivoting is backward stable (Golub & Van Loan §4.1.1); FactorBanded
 // asserts the properties at factor time and reports a zero/negative pivot
-// as the physical "no path to ambient" singularity, exactly like the dense
-// reference Factor.
+// as the physical "no path to ambient" singularity, exactly like the
+// pivoted dense LU the tests use as a reference.
 
 // BandedLU is the factorisation of a symmetric diagonally-dominant matrix
 // that is banded under a node permutation except for one dense border
 // row/column (the lumped heat-sink node). It supports single and batched
-// multi-RHS solves; like LU it carries scratch state and must not be
-// shared between goroutines.
+// multi-RHS solves; it carries scratch state and must not be shared
+// between goroutines.
 type BandedLU struct {
 	n      int   // full order, banded block plus the border node
 	nb     int   // banded block order
@@ -63,7 +63,7 @@ type BandedLU struct {
 // and the border node to -1; the half bandwidth is detected from the
 // non-zero pattern. A zero or negative pivot — the matrix class makes
 // them equivalent to singularity — is reported as a node with no path to
-// ambient, matching the dense reference Factor.
+// ambient, matching the pivoted dense reference LU.
 func FactorBanded(m *Dense, border int, perm []int) (*BandedLU, error) {
 	n := m.N
 	if border < 0 || border >= n {
@@ -196,8 +196,8 @@ func FactorBanded(m *Dense, border int, perm []int) (*BandedLU, error) {
 // checkSymmetricDominant asserts the structural properties the unpivoted
 // banded factorisation relies on: symmetry and weak diagonal dominance
 // with non-negative diagonal (within rounding slack). The thermal stamps
-// construct exactly this class; anything else must use the pivoting dense
-// Factor instead.
+// construct exactly this class; anything else needs a pivoting
+// factorisation.
 func checkSymmetricDominant(m *Dense) error {
 	n := m.N
 	for i := 0; i < n; i++ {

@@ -5,9 +5,9 @@ import "fmt"
 // SteadySolver solves the steady-state thermal problem G·T = P + B for a
 // fixed network, reusing one banded factorisation across any number of
 // power maps. This is the hot path of thermally-aware placement, which
-// evaluates thousands of candidate mappings. The dense LU in linalg.go is
-// kept as the reference implementation; the differential tests pin the two
-// paths together.
+// evaluates thousands of candidate mappings. A pivoted dense LU in the
+// tests is the reference implementation; the differential tests pin the
+// two paths together.
 type SteadySolver struct {
 	nw *Network
 	f  *BandedLU

@@ -76,13 +76,15 @@ func WithProgress(fn func(Event)) LabOption {
 	return func(o *sim.Options) { o.Progress = fn }
 }
 
-// WithMetrics registers the Lab's pipeline instruments on reg — stage
-// latency histograms (build/characterize/evaluate), cache hit/miss
-// counters, decode and evaluated-point counters, all labeled with the
-// Lab's scale — and records into them as sweeps run. Recording is
-// allocation-free on the per-point evaluate path. Several Labs (one per
-// scale) may share one registry; the hotnocd daemon serves such a
-// registry on GET /metrics.
+// WithMetrics makes reg the registry the Lab records its pipeline
+// instruments into — stage latency histograms (build/characterize/
+// evaluate), cache hit/miss counters, decode and evaluated-point
+// counters, all labeled with the Lab's scale. Without it the Lab records
+// into a private registry. Either way Lab.Stats reads the same counters
+// the registry exposes, and they stay the Lab's own: several Labs, of one
+// scale or several, may share one registry, whose series then sum them.
+// Recording is allocation-free on the per-point evaluate path; the
+// hotnocd daemon serves such a registry on GET /metrics.
 func WithMetrics(reg *obs.Registry) LabOption {
 	return func(o *sim.Options) { o.Metrics = reg }
 }
@@ -175,7 +177,8 @@ type LabStats struct {
 }
 
 // Stats returns a snapshot of the Lab's decode counter, characterization
-// and build cache hit/miss counters, and worker-pool utilization.
+// and build cache hit/miss counters — the counters it records into its
+// registry (see WithMetrics) — and worker-pool utilization.
 func (l *Lab) Stats() LabStats {
 	hits, misses := l.runner.CacheStats()
 	bHits, bMisses := l.runner.BuildStats()

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"hotnoc/internal/place"
+	"hotnoc/obs"
 )
 
 func labGrid() []SweepPoint {
@@ -392,38 +393,6 @@ func TestLabMixedSweep(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersShareDefaultLab: the deprecated free functions
-// route repeated calls through one shared Lab per (scale, workers), so
-// the second call performs zero NoC decodes.
-func TestDeprecatedWrappersShareDefaultLab(t *testing.T) {
-	if defaultLab(testScale, 0, "") != defaultLab(testScale, 0, "") {
-		t.Fatal("defaultLab does not share instances")
-	}
-	shared := defaultLab(testScale, 0, "")
-	if _, err := RunPeriodSweep("E", XMirror(), []int{1, 2}, testScale); err != nil {
-		t.Fatal(err)
-	}
-	decodes := shared.Decodes()
-	if decodes == 0 {
-		t.Fatal("wrapper did not route through the shared default Lab")
-	}
-	if _, err := RunPeriodSweep("E", XMirror(), []int{1, 2, 4}, testScale); err != nil {
-		t.Fatal(err)
-	}
-	if got := shared.Decodes(); got != decodes {
-		t.Fatalf("second wrapper call performed %d extra decodes, want 0", got-decodes)
-	}
-	// The deprecated Sweep free function shares the same Lab.
-	if _, err := Sweep(context.Background(),
-		[]SweepPoint{{Config: "E", Scheme: XMirror(), Blocks: 8}},
-		SweepOptions{Scale: testScale}); err != nil {
-		t.Fatal(err)
-	}
-	if got := shared.Decodes(); got != decodes {
-		t.Fatalf("deprecated Sweep performed %d extra decodes, want 0", got-decodes)
-	}
-}
-
 // TestLabStats: the stats snapshot exposes decode and cache counters
 // consistent with a sweep's actual work.
 func TestLabStats(t *testing.T) {
@@ -454,6 +423,36 @@ func TestLabStats(t *testing.T) {
 	}
 	if st := lab.Stats(); st.CacheHits != 2 {
 		t.Fatalf("warm sweep counted %d hits, want 2", st.CacheHits)
+	}
+}
+
+// TestLabsShareRegistry: two Labs of one scale recording into one
+// registry each report their own counters, while the registry's series
+// sum them.
+func TestLabsShareRegistry(t *testing.T) {
+	reg := obs.NewRegistry()
+	pts := SweepGrid([]string{"C"}, []Scheme{XMirror()}, nil)
+	var decodes uint64
+	for range 2 {
+		lab := NewLab(WithScale(testScale), WithMetrics(reg))
+		if _, err := lab.SweepAll(context.Background(), pts); err != nil {
+			t.Fatal(err)
+		}
+		if st := lab.Stats(); st.CacheMisses != 1 || st.BuildMisses != 1 {
+			t.Fatalf("fresh Lab counted %d/%d misses, want 1/1", st.CacheMisses, st.BuildMisses)
+		}
+		if lab.Decodes() == 0 {
+			t.Fatal("fresh Lab performed no decodes")
+		}
+		if decodes != 0 && lab.Decodes() != decodes {
+			t.Fatalf("second Lab reports %d decodes, want its own %d", lab.Decodes(), decodes)
+		}
+		decodes = lab.Decodes()
+	}
+	for _, s := range reg.Gather() {
+		if s.Name == "hotnoc_decodes_total" && s.Value != float64(2*decodes) {
+			t.Fatalf("hotnoc_decodes_total = %v, want the two Labs' sum %d", s.Value, 2*decodes)
+		}
 	}
 }
 

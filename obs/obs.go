@@ -207,11 +207,48 @@ type Sample struct {
 // the registry.
 type Collector func(emit func(Sample))
 
-// instrument is one registered series.
+// Series names the series s belongs to: its metric name and canonical
+// label set.
+func (s Sample) Series() string { return s.Name + "{" + labelKey(s.Labels) + "}" }
+
+// Sum adds up samples per series after keeping only the labels named in
+// by, like PromQL's sum by (...): with no labels it totals each metric
+// name. The result lists series in order of first appearance, each with
+// the type and help of its first sample.
+//
+//hotnoc:deterministic
+func Sum(samples []Sample, by ...string) []Sample {
+	idx := make(map[string]int)
+	var out []Sample
+	for _, s := range samples {
+		var kept Labels
+		for _, k := range by {
+			if v, ok := s.Labels[k]; ok {
+				if kept == nil {
+					kept = make(Labels, len(by))
+				}
+				kept[k] = v
+			}
+		}
+		s.Labels = kept
+		key := s.Series()
+		if i, ok := idx[key]; ok {
+			out[i].Value += s.Value
+			continue
+		}
+		idx[key] = len(out)
+		out = append(out, s)
+	}
+	return out
+}
+
+// instrument is one registered series. A counter series reads as the sum
+// of its shared counter and every owned one.
 type instrument struct {
 	labels   Labels
 	labelKey string
 	counter  *Counter
+	owned    []*Counter
 	gauge    *Gauge
 	gaugeFn  func() float64
 	hist     *Histogram
@@ -297,6 +334,33 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 	return inst.counter
 }
 
+// OwnedCounter registers a new counter that counts toward the series
+// name+labels and returns it. Unlike Counter it never returns an existing
+// instrument: the series reads as the sum of every owner's counter, while
+// each owner reads only its own. Several Labs of one scale, or several
+// daemons, can so share one registry and still report their own totals.
+func (r *Registry) OwnedCounter(name, help string, labels Labels) *Counter {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	inst := r.lookup(name, help, TypeCounter, labels)
+	c := &Counter{}
+	inst.owned = append(inst.owned, c)
+	return c
+}
+
+// counterValue is a counter series' value: the shared counter plus every
+// owned one.
+func (inst *instrument) counterValue() uint64 {
+	var v uint64
+	if inst.counter != nil {
+		v = inst.counter.Value()
+	}
+	for _, c := range inst.owned {
+		v += c.Value()
+	}
+	return v
+}
+
 // Gauge registers (or returns the existing) gauge series.
 func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
 	r.mu.Lock()
@@ -357,7 +421,7 @@ func (r *Registry) Gather() []Sample {
 		for _, inst := range fam.series {
 			switch fam.mtype {
 			case TypeCounter:
-				out = append(out, Sample{Name: name, Type: TypeCounter, Help: fam.help, Labels: inst.labels, Value: float64(inst.counter.Value())})
+				out = append(out, Sample{Name: name, Type: TypeCounter, Help: fam.help, Labels: inst.labels, Value: float64(inst.counterValue())})
 			case TypeGauge:
 				v := 0.0
 				if inst.gaugeFn != nil {

@@ -123,6 +123,61 @@ func TestRegistryIdempotent(t *testing.T) {
 	reg.Gauge("x_total", "", nil)
 }
 
+// TestOwnedCounters: each owner reads its own counter, while the series
+// reads the sum of every owned counter and the shared one.
+func TestOwnedCounters(t *testing.T) {
+	reg := NewRegistry()
+	a := reg.OwnedCounter("x_total", "help", Labels{"scale": "8"})
+	b := reg.OwnedCounter("x_total", "help", Labels{"scale": "8"})
+	if a == b {
+		t.Fatal("two owners share one counter")
+	}
+	a.Add(2)
+	b.Add(3)
+	reg.Counter("x_total", "help", Labels{"scale": "8"}).Inc()
+	if a.Value() != 2 || b.Value() != 3 {
+		t.Fatalf("owners read %d and %d, want 2 and 3", a.Value(), b.Value())
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `x_total{scale="8"} 6`+"\n") {
+		t.Fatalf("series does not sum its counters:\n%s", buf.String())
+	}
+	if g := reg.Gather(); len(g) != 1 || g[0].Value != 6 {
+		t.Fatalf("Gather = %+v, want one series at 6", g)
+	}
+}
+
+// TestSum: samples add up per series after dropping the labels not
+// named, in order of first appearance.
+func TestSum(t *testing.T) {
+	in := []Sample{
+		{Name: "decodes", Labels: Labels{"scale": "8", "worker": "b"}, Value: 1},
+		{Name: "decodes", Labels: Labels{"scale": "8", "worker": "a"}, Value: 2},
+		{Name: "decodes", Labels: Labels{"scale": "16", "worker": "a"}, Value: 4},
+		{Name: "done", Labels: Labels{"tenant": "ci", "worker": "a"}, Value: 8},
+	}
+	got := Sum(in, "scale", "tenant")
+	want := []Sample{
+		{Name: "decodes", Labels: Labels{"scale": "8"}, Value: 3},
+		{Name: "decodes", Labels: Labels{"scale": "16"}, Value: 4},
+		{Name: "done", Labels: Labels{"tenant": "ci"}, Value: 8},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("Sum = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i].Series() != want[i].Series() || got[i].Value != want[i].Value {
+			t.Errorf("Sum[%d] = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if tot := Sum(in); len(tot) != 2 || tot[0].Value != 7 || tot[0].Labels != nil {
+		t.Errorf("Sum without labels = %+v, want decodes 7 and done 8 unlabeled", tot)
+	}
+}
+
 // TestPrometheusText is the golden test for the exposition format:
 // HELP/TYPE grouping, sorted series, cumulative buckets, label
 // escaping, integral-value rendering.

@@ -7,7 +7,8 @@
 # plus the obs recording paths HistogramObserve and CounterInc) reports
 # a nonzero allocs/op.
 #
-# Usage: bench.sh [pr-number]        (default 9)
+# Usage: bench.sh [pr-number]        (default: one more than the newest
+#                                     committed BENCH_<n>.json)
 # Env:   BENCHTIME=100x|1s|...       thermal benchtime (default 1s)
 #        SKIP_PAPER=1                skip the paper-scale benchmarks
 #        BENCH_OUT=path              output path (default BENCH_<pr>.json)
@@ -15,7 +16,9 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-PR="${1:-9}"
+latest=$({ git ls-files 'BENCH_*.json' 2>/dev/null || ls BENCH_*.json 2>/dev/null; } |
+    sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$/\1/p' | sort -n | tail -n 1)
+PR="${1:-$((${latest:-0} + 1))}"
 OUT="${BENCH_OUT:-BENCH_${PR}.json}"
 BENCHTIME="${BENCHTIME:-1s}"
 SKIP_PAPER="${SKIP_PAPER:-0}"

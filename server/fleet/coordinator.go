@@ -43,12 +43,9 @@ import (
 	"fmt"
 	"io"
 	"iter"
-	"maps"
 	"net"
 	"net/http"
 	"net/url"
-	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -56,6 +53,7 @@ import (
 
 	"hotnoc"
 	"hotnoc/client"
+	"hotnoc/obs"
 	"hotnoc/server/wire"
 )
 
@@ -91,9 +89,9 @@ type Coordinator struct {
 	// live mirrors len(workers) atomically so the metrics collector
 	// can report the worker-count gauge without touching mu at scrape
 	// time (the lockorder rule above).
-	live atomic.Int64
-	byURL   map[string]*Worker
-	nextID  int
+	live   atomic.Int64
+	byURL  map[string]*Worker
+	nextID int
 	// builds / chars are the coordinator-granted claims: which worker
 	// owns each calibrated build and each NoC characterization. Claims
 	// hold until the owner dies, keeping artifact keys sticky across
@@ -412,11 +410,11 @@ func (c *Coordinator) Placement(ctx context.Context, config string, scale int) (
 	return client.New(w.url, client.WithScale(scale)).Placement(ctx, config)
 }
 
-// FleetStats aggregates /v1/stats across the fleet. Counter-class
-// fields (decodes, characterization and build cache hits/misses,
-// finished/failed/rejected jobs, points served) come from the
-// coordinator's monotonic ledger, so they never regress when a worker
-// restarts, re-registers under a fresh id, or is temporarily
+// FleetStats aggregates /v1/stats across the fleet into its Labs and
+// Tenants rows. Counter fields (decodes, characterization and build
+// cache hits/misses, finished/failed/rejected jobs, points served) come
+// from the coordinator's monotonic ledger, so they never regress when a
+// worker restarts, re-registers under a fresh id, or is temporarily
 // unreachable — the departed incarnation's work stays counted. Gauge
 // fields (pool size, busy workers, running/queued jobs) describe the
 // present and are summed over the workers that answered this fetch;
@@ -424,7 +422,7 @@ func (c *Coordinator) Placement(ctx context.Context, config string, scale int) (
 // stay listed in Workers().
 //
 //hotnoc:deterministic
-func (c *Coordinator) FleetStats(ctx context.Context) (labs []hotnoc.LabStats, tenants []wire.TenantStats) {
+func (c *Coordinator) FleetStats(ctx context.Context) wire.Stats {
 	c.mu.Lock()
 	live := c.liveLocked()
 	urls := make([]string, len(live))
@@ -452,80 +450,19 @@ func (c *Coordinator) FleetStats(ctx context.Context) (labs []hotnoc.LabStats, t
 
 	// Fold this round's successful fetches into the monotonic ledger,
 	// then assemble: gauges from the round, counters from the ledger.
-	byScale := map[int]*hotnoc.LabStats{}
-	byTenant := map[string]*wire.TenantStats{}
+	var gauges []obs.Sample
 	for i := range results {
 		if !oks[i] {
 			continue
 		}
 		c.ledger.observe(urls[i], results[i])
-		for _, ls := range results[i].Labs {
-			agg, ok := byScale[ls.Scale]
-			if !ok {
-				agg = &hotnoc.LabStats{Scale: ls.Scale}
-				byScale[ls.Scale] = agg
+		for _, s := range results[i].Samples() {
+			if s.Type == obs.TypeGauge {
+				gauges = append(gauges, s)
 			}
-			agg.Workers += ls.Workers
-			agg.BusyWorkers += ls.BusyWorkers
-		}
-		for _, ts := range results[i].Tenants {
-			agg, ok := byTenant[ts.ID]
-			if !ok {
-				agg = &wire.TenantStats{ID: ts.ID, Weight: ts.Weight}
-				byTenant[ts.ID] = agg
-			}
-			agg.Running += ts.Running
-			agg.Queued += ts.Queued
 		}
 	}
-	labTotals := c.ledger.labTotals()
-	var scales []int
-	for _, scale := range slices.Sorted(maps.Keys(labTotals)) {
-		ct := labTotals[scale]
-		agg, ok := byScale[scale]
-		if !ok {
-			agg = &hotnoc.LabStats{Scale: scale}
-			byScale[scale] = agg
-		}
-		agg.Decodes = ct.decodes
-		agg.CacheHits = ct.cacheHits
-		agg.CacheMisses = ct.cacheMisses
-		agg.BuildHits = ct.buildHits
-		agg.BuildMisses = ct.buildMisses
-	}
-	for scale := range byScale {
-		scales = append(scales, scale)
-	}
-	tnTotals, weights := c.ledger.tenantTotals()
-	var tenantIDs []string
-	for _, id := range slices.Sorted(maps.Keys(tnTotals)) {
-		ct := tnTotals[id]
-		agg, ok := byTenant[id]
-		if !ok {
-			agg = &wire.TenantStats{ID: id}
-			byTenant[id] = agg
-		}
-		agg.Done = ct.done
-		agg.Failed = ct.failed
-		agg.Canceled = ct.canceled
-		agg.Rejected = ct.rejected
-		agg.Points = ct.points
-		if w, ok := weights[id]; ok {
-			agg.Weight = w
-		}
-	}
-	for id := range byTenant {
-		tenantIDs = append(tenantIDs, id)
-	}
-	sort.Ints(scales)
-	for _, s := range scales {
-		labs = append(labs, *byScale[s])
-	}
-	sort.Strings(tenantIDs)
-	for _, id := range tenantIDs {
-		tenants = append(tenants, *byTenant[id])
-	}
-	return labs, tenants
+	return c.ledger.stats(gauges)
 }
 
 // authorized checks the fleet secret on worker registration requests.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"maps"
 	"slices"
+	"strings"
 	"sync"
 
 	"hotnoc"
@@ -17,213 +18,149 @@ import (
 // naive sum over live workers would make the fleet totals go *down*,
 // which breaks anything rate()-ing them. The ledger keys on worker URL
 // — the stable identity across re-registration, since coordinator ids
-// change on every rejoin — and keeps, per URL, an accumulated base from
-// previous incarnations plus the latest snapshot of the current one.
-// When a snapshot's counters regress, the previous snapshot is folded
-// into the base (the old incarnation's final contribution) and the new
-// snapshot starts the next incarnation. Totals are Σ(base + last) over
-// every URL ever observed, so a departed worker's work stays counted.
+// change on every rejoin — and on series (a /v1/stats counter field and
+// its row), and keeps, per URL, the banked final snapshots of previous
+// incarnations plus the latest snapshot of the current one.
 //
-// Only counter-class fields live here. Gauges (pool sizes, busy
-// workers, running/queued jobs) describe the present and must come from
-// the workers currently reachable, not from history.
+// A drop in any of a URL's series, or a series vanishing, means the
+// worker restarted: its whole previous snapshot is banked and the new
+// one starts the next incarnation. No counter can fall within one
+// worker process — Labs are never dropped and scheduler tenant states
+// are never deleted — so judging the snapshot as a whole is safe, and
+// it catches a new incarnation whose Lab counters already passed the
+// old ones while its tenant counters fell. Totals are Σ(banked + last)
+// over every URL ever observed, so a departed worker's work stays
+// counted.
+//
+// Only counters live here. Gauges (pool sizes, busy workers,
+// running/queued jobs) describe the present and must come from the
+// workers currently reachable, not from history.
 type statsLedger struct {
 	mu    sync.Mutex
 	byURL map[string]*urlLedger
-	// tnWeight is the most recently observed weight per tenant, across
+	// weights is the most recently observed weight per tenant, across
 	// all workers — weight is configuration, not a counter, so the last
 	// report wins regardless of which worker it came from.
-	tnWeight map[string]int
-}
-
-// labCounters is the counter-class slice of hotnoc.LabStats.
-type labCounters struct {
-	decodes     uint64
-	cacheHits   uint64
-	cacheMisses uint64
-	buildHits   uint64
-	buildMisses uint64
-}
-
-func (a labCounters) add(b labCounters) labCounters {
-	a.decodes += b.decodes
-	a.cacheHits += b.cacheHits
-	a.cacheMisses += b.cacheMisses
-	a.buildHits += b.buildHits
-	a.buildMisses += b.buildMisses
-	return a
-}
-
-// regressed reports whether cur lost ground against prev — the restart
-// signature (every field is monotonic within one worker process).
-func (cur labCounters) regressed(prev labCounters) bool {
-	return cur.decodes < prev.decodes ||
-		cur.cacheHits < prev.cacheHits || cur.cacheMisses < prev.cacheMisses ||
-		cur.buildHits < prev.buildHits || cur.buildMisses < prev.buildMisses
-}
-
-func labCountersOf(ls hotnoc.LabStats) labCounters {
-	return labCounters{
-		decodes:     ls.Decodes,
-		cacheHits:   ls.CacheHits,
-		cacheMisses: ls.CacheMisses,
-		buildHits:   ls.BuildHits,
-		buildMisses: ls.BuildMisses,
-	}
-}
-
-// tenantCounters is the counter-class slice of wire.TenantStats.
-type tenantCounters struct {
-	done     int
-	failed   int
-	canceled int
-	rejected int
-	points   int64
-}
-
-func (a tenantCounters) add(b tenantCounters) tenantCounters {
-	a.done += b.done
-	a.failed += b.failed
-	a.canceled += b.canceled
-	a.rejected += b.rejected
-	a.points += b.points
-	return a
-}
-
-func (cur tenantCounters) regressed(prev tenantCounters) bool {
-	return cur.done < prev.done || cur.failed < prev.failed ||
-		cur.canceled < prev.canceled || cur.rejected < prev.rejected ||
-		cur.points < prev.points
-}
-
-func tenantCountersOf(ts wire.TenantStats) tenantCounters {
-	return tenantCounters{
-		done:     ts.Done,
-		failed:   ts.Failed,
-		canceled: ts.Canceled,
-		rejected: ts.Rejected,
-		points:   ts.Points,
-	}
+	weights map[string]int
 }
 
 // urlLedger is one worker URL's accumulation state.
 type urlLedger struct {
-	labBase map[int]labCounters // accumulated from dead incarnations, by scale
-	labLast map[int]labCounters // latest snapshot of the live incarnation
-
-	tnBase map[string]tenantCounters
-	tnLast map[string]tenantCounters
+	banked []obs.Sample // summed final snapshots of dead incarnations
+	last   []obs.Sample // latest snapshot of the live incarnation
 }
 
 func newStatsLedger() *statsLedger {
-	return &statsLedger{byURL: map[string]*urlLedger{}, tnWeight: map[string]int{}}
+	return &statsLedger{byURL: map[string]*urlLedger{}, weights: map[string]int{}}
 }
 
 // observe folds one successfully fetched worker stats snapshot into the
-// ledger. Restart detection is per scale (and per tenant): a regression
-// in any counter means the worker restarted since the previous
-// snapshot, so the previous snapshot — the old incarnation's final
-// observed state — is banked into the base.
+// ledger.
 func (l *statsLedger) observe(url string, st wire.Stats) {
+	var cur []obs.Sample
+	for _, s := range st.Samples() {
+		if s.Type == obs.TypeCounter {
+			cur = append(cur, s)
+		}
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	for _, ts := range st.Tenants {
+		l.weights[ts.ID] = ts.Weight
+	}
 	ul, ok := l.byURL[url]
 	if !ok {
-		ul = &urlLedger{
-			labBase: map[int]labCounters{}, labLast: map[int]labCounters{},
-			tnBase: map[string]tenantCounters{}, tnLast: map[string]tenantCounters{},
-		}
+		ul = &urlLedger{}
 		l.byURL[url] = ul
 	}
-	for _, ls := range st.Labs {
-		cur := labCountersOf(ls)
-		if prev, seen := ul.labLast[ls.Scale]; seen && cur.regressed(prev) {
-			ul.labBase[ls.Scale] = ul.labBase[ls.Scale].add(prev)
-		}
-		ul.labLast[ls.Scale] = cur
+	if restarted(ul.last, cur) {
+		ul.banked = obs.Sum(append(ul.banked, ul.last...), "scale", "tenant")
 	}
-	for _, ts := range st.Tenants {
-		cur := tenantCountersOf(ts)
-		if prev, seen := ul.tnLast[ts.ID]; seen && cur.regressed(prev) {
-			ul.tnBase[ts.ID] = ul.tnBase[ts.ID].add(prev)
-		}
-		ul.tnLast[ts.ID] = cur
-		l.tnWeight[ts.ID] = ts.Weight
-	}
+	ul.last = cur
 }
 
-// labTotals returns the fleet-wide monotonic counters per scale, summed
-// over every URL ever observed.
+// restarted reports whether any series of prev fell or vanished in cur.
+func restarted(prev, cur []obs.Sample) bool {
+	now := make(map[string]float64, len(cur))
+	for _, s := range cur {
+		now[s.Series()] = s.Value
+	}
+	for _, s := range prev {
+		if v, ok := now[s.Series()]; !ok || v < s.Value {
+			return true
+		}
+	}
+	return false
+}
+
+// samples returns every observed URL's counters, banked and live,
+// labeled worker=URL and ordered by URL.
 //
 //hotnoc:deterministic
-func (l *statsLedger) labTotals() map[int]labCounters {
+func (l *statsLedger) samples() []obs.Sample {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := map[int]labCounters{}
+	var out []obs.Sample
 	for _, url := range slices.Sorted(maps.Keys(l.byURL)) {
 		ul := l.byURL[url]
-		for _, scale := range slices.Sorted(maps.Keys(ul.labLast)) {
-			out[scale] = out[scale].add(ul.labBase[scale]).add(ul.labLast[scale])
-		}
-		for _, scale := range slices.Sorted(maps.Keys(ul.labBase)) {
-			if _, ok := ul.labLast[scale]; !ok {
-				out[scale] = out[scale].add(ul.labBase[scale])
-			}
+		for _, s := range slices.Concat(ul.banked, ul.last) {
+			labels := maps.Clone(s.Labels)
+			labels["worker"] = url
+			s.Labels = labels
+			out = append(out, s)
 		}
 	}
 	return out
 }
 
-// tenantTotals returns the fleet-wide monotonic tenant counters and the
-// most recently observed weight per tenant.
+// stats returns the fleet-wide rows: every URL's monotonic counters
+// summed, plus the given gauge samples, with each tenant's most
+// recently observed weight.
 //
 //hotnoc:deterministic
-func (l *statsLedger) tenantTotals() (map[string]tenantCounters, map[string]int) {
+func (l *statsLedger) stats(gauges []obs.Sample) wire.Stats {
+	samples := append(l.samples(), gauges...)
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := map[string]tenantCounters{}
-	weights := map[string]int{}
-	for _, url := range slices.Sorted(maps.Keys(l.byURL)) {
-		ul := l.byURL[url]
-		for _, id := range slices.Sorted(maps.Keys(ul.tnLast)) {
-			out[id] = out[id].add(ul.tnBase[id]).add(ul.tnLast[id])
-		}
-		for _, id := range slices.Sorted(maps.Keys(ul.tnBase)) {
-			if _, ok := ul.tnLast[id]; !ok {
-				out[id] = out[id].add(ul.tnBase[id])
-			}
-		}
-	}
-	for _, id := range slices.Sorted(maps.Keys(l.tnWeight)) {
-		weights[id] = l.tnWeight[id]
-	}
-	return out, weights
+	weights := maps.Clone(l.weights)
+	l.mu.Unlock()
+	var st wire.Stats
+	st.SetRows(obs.Sum(samples, "scale", "tenant"), weights)
+	return st
 }
 
-// perWorker returns each observed worker URL's monotonic counters,
-// summed over scales, sorted by URL — the per-worker series on the
-// coordinator's /metrics.
+// zeroLabCounters returns one zero-valued sample per Lab counter of
+// /v1/stats, labeled with labels.
+func zeroLabCounters(labels obs.Labels) []obs.Sample {
+	var out []obs.Sample
+	for _, s := range (wire.Stats{Labs: make([]hotnoc.LabStats, 1)}).Samples() {
+		if s.Type == obs.TypeCounter {
+			s.Labels = labels
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// perWorker returns each observed URL's monotonic Lab counters, summed
+// over scales and labeled worker=URL — the per-worker series on the
+// coordinator's /metrics. Every URL gets every Lab counter, so a worker
+// that has run nothing still has its series.
 //
 //hotnoc:deterministic
-func (l *statsLedger) perWorker() (urls []string, counters []labCounters) {
+func (l *statsLedger) perWorker() []obs.Sample {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	urls = slices.Sorted(maps.Keys(l.byURL))
-	counters = make([]labCounters, len(urls))
-	for i, url := range urls {
-		ul := l.byURL[url]
-		var sum labCounters
-		for _, scale := range slices.Sorted(maps.Keys(ul.labLast)) {
-			sum = sum.add(ul.labBase[scale]).add(ul.labLast[scale])
-		}
-		for _, scale := range slices.Sorted(maps.Keys(ul.labBase)) {
-			if _, ok := ul.labLast[scale]; !ok {
-				sum = sum.add(ul.labBase[scale])
-			}
-		}
-		counters[i] = sum
+	urls := slices.Sorted(maps.Keys(l.byURL))
+	l.mu.Unlock()
+	var labs []obs.Sample
+	for _, url := range urls {
+		labs = append(labs, zeroLabCounters(obs.Labels{"worker": url})...)
 	}
-	return urls, counters
+	for _, s := range l.samples() {
+		if _, ok := s.Labels["scale"]; ok {
+			labs = append(labs, s)
+		}
+	}
+	return obs.Sum(labs, "worker")
 }
 
 // RefreshStats fetches and folds in every reachable worker's stats,
@@ -235,35 +172,25 @@ func (c *Coordinator) RefreshStats(ctx context.Context) {
 }
 
 // MetricsCollector returns an obs.Collector contributing the fleet's
-// aggregate view to a coordinator's registry at scrape time: monotonic
-// per-worker-labeled counters (by worker URL — stable across lease
-// expiry and re-registration), fleet-wide monotonic sums, and the live
-// worker-count gauge.
+// aggregate view to a coordinator's registry at scrape time: for each
+// Lab counter of /v1/stats, a monotonic series per worker URL (stable
+// across lease expiry and re-registration) and a fleet-wide monotonic
+// sum, plus the live worker-count gauge.
 func (c *Coordinator) MetricsCollector() obs.Collector {
-	counter := func(name, help, worker string, v uint64) obs.Sample {
-		s := obs.Sample{Name: name, Type: obs.TypeCounter, Help: help, Value: float64(v)}
-		if worker != "" {
-			s.Labels = obs.Labels{"worker": worker}
-		}
-		return s
-	}
 	return func(emit func(obs.Sample)) {
-		urls, counters := c.ledger.perWorker()
-		var total labCounters
-		for i, url := range urls {
-			ct := counters[i]
-			total = total.add(ct)
-			emit(counter("hotnocd_fleet_worker_decodes_total", "Engine decodes per fleet worker (monotonic across restarts).", url, ct.decodes))
-			emit(counter("hotnocd_fleet_worker_cache_hits_total", "Characterization cache hits per fleet worker.", url, ct.cacheHits))
-			emit(counter("hotnocd_fleet_worker_cache_misses_total", "Characterization cache misses per fleet worker.", url, ct.cacheMisses))
-			emit(counter("hotnocd_fleet_worker_build_hits_total", "Build cache hits per fleet worker.", url, ct.buildHits))
-			emit(counter("hotnocd_fleet_worker_build_misses_total", "Build cache misses per fleet worker.", url, ct.buildMisses))
+		perWorker := c.ledger.perWorker()
+		for _, s := range perWorker {
+			what := strings.ReplaceAll(s.Name, "_", " ")
+			s.Name = "hotnocd_fleet_worker_" + s.Name + "_total"
+			s.Help = "Per-worker " + what + " as on /v1/stats, monotonic across worker restarts."
+			emit(s)
 		}
-		emit(counter("hotnocd_fleet_decodes_total", "Fleet-wide engine decodes (monotonic across worker restarts).", "", total.decodes))
-		emit(counter("hotnocd_fleet_cache_hits_total", "Fleet-wide characterization cache hits.", "", total.cacheHits))
-		emit(counter("hotnocd_fleet_cache_misses_total", "Fleet-wide characterization cache misses.", "", total.cacheMisses))
-		emit(counter("hotnocd_fleet_build_hits_total", "Fleet-wide build cache hits.", "", total.buildHits))
-		emit(counter("hotnocd_fleet_build_misses_total", "Fleet-wide build cache misses.", "", total.buildMisses))
+		for _, s := range obs.Sum(append(zeroLabCounters(nil), perWorker...)) {
+			what := strings.ReplaceAll(s.Name, "_", " ")
+			s.Name = "hotnocd_fleet_" + s.Name + "_total"
+			s.Help = "Fleet-wide " + what + " as on /v1/stats, monotonic across worker restarts."
+			emit(s)
+		}
 		// c.live, not c.WorkerCount(): the collector runs under the
 		// registry lock and must not take c.mu (lockorder rule).
 		emit(obs.Sample{Name: "hotnocd_fleet_workers", Type: obs.TypeGauge,

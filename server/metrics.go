@@ -5,12 +5,12 @@ import (
 	"time"
 
 	"hotnoc/obs"
+	"hotnoc/server/wire"
 )
 
 // serverMetrics is the daemon's own instrument set: scheduler depth
-// gauges, queue-wait and job-lifecycle counters, all per-tenant where a
-// tenant is accountable. Every method is nil-receiver safe so a daemon
-// with metrics disabled pays a single pointer check per call site.
+// gauges and the queue-wait histogram. Per-tenant instruments live on
+// each tenant's scheduler state (tenantMetrics).
 //
 // Gauges are updated explicitly at the scheduler's mutation points
 // (enqueue, dispatch, terminal) rather than through scrape-time
@@ -19,8 +19,6 @@ import (
 // taking the registry lock. Explicit updates keep the two locks
 // strictly ordered (server → registry, never back).
 type serverMetrics struct {
-	reg *obs.Registry
-
 	queueWait   *obs.Histogram
 	jobsRunning *obs.Gauge
 	jobsQueued  *obs.Gauge
@@ -28,7 +26,6 @@ type serverMetrics struct {
 
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	return &serverMetrics{
-		reg: reg,
 		queueWait: reg.Histogram("hotnocd_queue_wait_seconds",
 			"Time sweep jobs spent queued between admission and dispatch.", nil, nil),
 		jobsRunning: reg.Gauge("hotnocd_jobs_running",
@@ -38,78 +35,79 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	}
 }
 
-// tenantQueueDepth is the per-tenant slice of the queued-jobs gauge.
-func (m *serverMetrics) tenantQueueDepth(tenant string) *obs.Gauge {
-	return m.reg.Gauge("hotnocd_tenant_jobs_queued",
-		"Sweep jobs waiting in one tenant's queue.", obs.Labels{"tenant": tenant})
+// tenantMetrics is one tenant's instruments, resolved once when the
+// scheduler first sees the tenant. The counters are the only record of
+// the tenant's accounting: /v1/stats reads them, and they are owned by
+// this daemon, so a registry shared with another daemon sums the two on
+// /metrics without mixing their /v1/stats.
+type tenantMetrics struct {
+	// done, failed and canceled are hotnocd_jobs_total by terminal state.
+	done, failed, canceled *obs.Counter
+	// rejected counts 429s: over-rate or over-queue submissions.
+	rejected *obs.Counter
+	// points counts outcomes streamed to the tenant's clients.
+	points *obs.Counter
+	queued *obs.Gauge
+}
+
+func newTenantMetrics(reg *obs.Registry, tenant string) tenantMetrics {
+	jobs := func(state string) *obs.Counter {
+		return reg.OwnedCounter("hotnocd_jobs_total",
+			"Sweep jobs finished, by tenant and terminal state.",
+			obs.Labels{"tenant": tenant, "state": state})
+	}
+	return tenantMetrics{
+		done:     jobs(wire.JobDone),
+		failed:   jobs(wire.JobFailed),
+		canceled: jobs(wire.JobCanceled),
+		rejected: reg.OwnedCounter("hotnocd_submissions_rejected_total",
+			"Sweep submissions rejected with 429, by tenant.",
+			obs.Labels{"tenant": tenant}),
+		points: reg.OwnedCounter("hotnocd_points_total",
+			"Grid points streamed to clients, by tenant.",
+			obs.Labels{"tenant": tenant}),
+		queued: reg.Gauge("hotnocd_tenant_jobs_queued",
+			"Sweep jobs waiting in one tenant's queue.", obs.Labels{"tenant": tenant}),
+	}
+}
+
+// finished returns the jobs counter of one terminal state.
+func (tm *tenantMetrics) finished(state string) *obs.Counter {
+	switch state {
+	case wire.JobDone:
+		return tm.done
+	case wire.JobFailed:
+		return tm.failed
+	}
+	return tm.canceled // the only other terminal state
 }
 
 // jobQueued records a job entering its tenant's queue.
-func (m *serverMetrics) jobQueued(tenant string) {
-	if m == nil {
-		return
-	}
+func (m *serverMetrics) jobQueued(ts *tenantState) {
 	m.jobsQueued.Add(1)
-	m.tenantQueueDepth(tenant).Add(1)
+	ts.met.queued.Add(1)
 }
 
 // jobDispatched records a queued job winning a slot after wait.
-func (m *serverMetrics) jobDispatched(tenant string, wait time.Duration) {
-	if m == nil {
-		return
-	}
+func (m *serverMetrics) jobDispatched(ts *tenantState, wait time.Duration) {
 	m.jobsQueued.Add(-1)
-	m.tenantQueueDepth(tenant).Add(-1)
+	ts.met.queued.Add(-1)
 	m.jobsRunning.Add(1)
 	m.queueWait.Observe(wait.Seconds())
 }
 
 // jobFinished records a dispatched job reaching the terminal state.
-func (m *serverMetrics) jobFinished(tenant, state string) {
-	if m == nil {
-		return
-	}
+func (m *serverMetrics) jobFinished(ts *tenantState, state string) {
 	m.jobsRunning.Add(-1)
-	m.jobsTotal(tenant, state).Inc()
+	ts.met.finished(state).Inc()
 }
 
 // jobTerminatedQueued records a job canceled out of its queue without
 // ever running.
-func (m *serverMetrics) jobTerminatedQueued(tenant, state string) {
-	if m == nil {
-		return
-	}
+func (m *serverMetrics) jobTerminatedQueued(ts *tenantState, state string) {
 	m.jobsQueued.Add(-1)
-	m.tenantQueueDepth(tenant).Add(-1)
-	m.jobsTotal(tenant, state).Inc()
-}
-
-func (m *serverMetrics) jobsTotal(tenant, state string) *obs.Counter {
-	return m.reg.Counter("hotnocd_jobs_total",
-		"Sweep jobs finished, by tenant and terminal state.",
-		obs.Labels{"tenant": tenant, "state": state})
-}
-
-// rejected records an admission 429 (submit rate or queue bound).
-func (m *serverMetrics) rejected(tenant string) {
-	if m == nil {
-		return
-	}
-	m.reg.Counter("hotnocd_submissions_rejected_total",
-		"Sweep submissions rejected with 429, by tenant.",
-		obs.Labels{"tenant": tenant}).Inc()
-}
-
-// pointsCounter resolves one tenant's served-points counter. Resolved
-// once per job, then Inc'd per outcome — the registry lookup stays off
-// the streaming path.
-func (m *serverMetrics) pointsCounter(tenant string) *obs.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.reg.Counter("hotnocd_points_total",
-		"Grid points streamed to clients, by tenant.",
-		obs.Labels{"tenant": tenant})
+	ts.met.queued.Add(-1)
+	ts.met.finished(state).Inc()
 }
 
 // handleMetrics serves GET /metrics in Prometheus text exposition

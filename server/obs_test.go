@@ -128,7 +128,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestMetricsDisabled: DisableMetrics leaves /metrics unrouted.
+// TestMetricsDisabled: DisableMetrics leaves /metrics unrouted, while
+// /v1/stats still counts the tenant's finished jobs and points.
 func TestMetricsDisabled(t *testing.T) {
 	_, url := testServer(t, Config{DisableMetrics: true})
 	resp, err := http.Get(url + "/metrics")
@@ -139,6 +140,12 @@ func TestMetricsDisabled(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET /metrics with metrics disabled: %s, want 404", resp.Status)
 	}
+
+	runToCompletion(t, url, testGrid()[:2])
+	waitStats(t, client.New(url), func(st wire.Stats) bool {
+		anon := tenantRow(st, tenant.AnonymousID)
+		return anon.Done == 1 && anon.Points == 2
+	})
 }
 
 // TestJobProgressIntrospection steps a fake sweep point by point and

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hotnoc"
+	"hotnoc/obs"
 	"hotnoc/server/tenant"
 )
 
@@ -32,6 +33,9 @@ import (
 //
 // sched does no locking; the Server drives it under its own mutex.
 type sched struct {
+	// reg is where each tenant's instruments are registered on first
+	// contact.
+	reg     *obs.Registry
 	tenants map[string]*tenantState
 	// vtime is the scheduler's virtual time: the pass of the most
 	// recently dispatched tenant at the moment it was selected (i.e.
@@ -39,13 +43,13 @@ type sched struct {
 	vtime float64
 }
 
-func newSched() *sched {
-	return &sched{tenants: map[string]*tenantState{}}
+func newSched(reg *obs.Registry) *sched {
+	return &sched{reg: reg, tenants: map[string]*tenantState{}}
 }
 
 // tenantState is one tenant's scheduling and accounting state. The
-// identity fields are fixed at creation; everything else mutates under
-// the server's mutex.
+// identity fields are fixed at creation; the instruments are atomic;
+// everything else mutates under the server's mutex.
 type tenantState struct {
 	id     string
 	weight int
@@ -62,12 +66,9 @@ type tenantState struct {
 	tokens   float64
 	lastFill time.Time
 
-	// Accounting surfaced per tenant on /v1/stats.
-	done     int
-	failed   int
-	canceled int
-	rejected int   // 429s: over-rate or over-queue submissions
-	points   int64 // cumulative outcomes evaluated
+	// met is the tenant's accounting, surfaced on /v1/stats and
+	// /metrics.
+	met tenantMetrics
 }
 
 // sweepFn is the execution backend a dispatched job runs its grid on:
@@ -95,6 +96,7 @@ func (sc *sched) state(t *tenant.Tenant) *tenantState {
 			weight: max(1, t.Weight),
 			limits: t.Limits,
 			pass:   sc.vtime,
+			met:    newTenantMetrics(sc.reg, t.ID),
 		}
 		sc.tenants[t.ID] = ts
 	}

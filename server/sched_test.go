@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hotnoc/obs"
 	"hotnoc/server/tenant"
 )
 
@@ -19,7 +20,7 @@ type schedFixture struct {
 }
 
 func newSchedFixture(tenants map[string]*tenant.Tenant) *schedFixture {
-	f := &schedFixture{sc: newSched(), st: map[string]*tenantState{}, next: map[string]int{}}
+	f := &schedFixture{sc: newSched(obs.NewRegistry()), st: map[string]*tenantState{}, next: map[string]int{}}
 	for id, t := range tenants {
 		f.st[id] = f.sc.state(t)
 	}

@@ -126,9 +126,10 @@ type Config struct {
 	// other instrumented subsystems in one process. Nil creates a
 	// private registry.
 	Metrics *obs.Registry
-	// DisableMetrics turns the metrics subsystem off entirely: no
-	// instruments are registered, the Labs record nothing, and GET
-	// /metrics is not routed.
+	// DisableMetrics leaves GET /metrics unrouted and, on a coordinator,
+	// the fleet collector unregistered. The daemon and its Labs still
+	// record into the registry, because /v1/stats reads the same
+	// counters; nobody serves it.
 	DisableMetrics bool
 	// EventBuffer is the retention depth of the GET /v1/events
 	// diagnostics ring: how many lifecycle events a reconnecting
@@ -177,9 +178,8 @@ type Server struct {
 	durCount int
 
 	// reg/met/diag are the observability subsystem: the metrics
-	// registry served on GET /metrics, the daemon's own instruments
-	// (nil when disabled), and the diagnostics ring behind GET
-	// /v1/events.
+	// registry served on GET /metrics, the daemon's own instruments,
+	// and the diagnostics ring behind GET /v1/events.
 	reg  *obs.Registry
 	met  *serverMetrics
 	diag *diagLog
@@ -222,13 +222,13 @@ func New(cfg Config) *Server {
 		tenants: reg,
 		labs:    map[int]*hotnoc.Lab{},
 		jobs:    map[string]*job{},
-		sched:   newSched(),
+		sched:   newSched(obsReg),
 		reg:     obsReg,
+		met:     newServerMetrics(obsReg),
 		diag:    newDiagLog(cfg.EventBuffer),
 		now:     time.Now,
 	}
 	if !cfg.DisableMetrics {
-		s.met = newServerMetrics(obsReg)
 		s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	}
 	if fl := cfg.Fleet; fl != nil {
@@ -386,19 +386,16 @@ func (s *Server) labFor(scale int) *hotnoc.Lab {
 	defer s.mu.Unlock()
 	lab, ok := s.labs[scale]
 	if !ok {
-		opts := []hotnoc.LabOption{
+		// Each scale's Lab registers its pipeline instruments (stage
+		// latencies, cache requests, evaluated points) in the daemon's
+		// registry, labeled by scale.
+		lab = hotnoc.NewLab(
 			hotnoc.WithScale(scale),
 			hotnoc.WithWorkers(s.cfg.Workers),
 			hotnoc.WithCacheDir(s.cfg.CacheDir),
 			hotnoc.WithCacheLimit(s.cfg.CacheLimit),
-		}
-		if s.met != nil {
-			// Each scale's Lab registers its pipeline instruments
-			// (stage latencies, cache requests, evaluated points) in
-			// the daemon's registry, labeled by scale.
-			opts = append(opts, hotnoc.WithMetrics(s.reg))
-		}
-		lab = hotnoc.NewLab(opts...)
+			hotnoc.WithMetrics(s.reg),
+		)
 		s.labs[scale] = lab
 	}
 	return lab
@@ -483,8 +480,7 @@ func (s *Server) handleCreateSweep(w http.ResponseWriter, r *http.Request) {
 	// quota or the global MaxJobs slots is not a rejection — the job
 	// queues and the weighted-fair scheduler dispatches it later.
 	if ok, retry := ts.takeToken(s.now()); !ok {
-		ts.rejected++
-		s.met.rejected(ts.id)
+		ts.met.rejected.Inc()
 		s.mu.Unlock()
 		cancel()
 		s.diag.emit(wire.DiagEvent{Type: wire.DiagTenantThrottled, Tenant: cur.ID,
@@ -495,8 +491,7 @@ func (s *Server) handleCreateSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if ts.limits.MaxQueued > 0 && len(ts.queue) >= ts.limits.MaxQueued {
-		ts.rejected++
-		s.met.rejected(ts.id)
+		ts.met.rejected.Inc()
 		s.mu.Unlock()
 		cancel()
 		s.diag.emit(wire.DiagEvent{Type: wire.DiagTenantThrottled, Tenant: cur.ID,
@@ -523,7 +518,7 @@ func (s *Server) handleCreateSweep(w http.ResponseWriter, r *http.Request) {
 	s.diag.emit(wire.DiagEvent{Type: wire.DiagJobSubmitted, Tenant: cur.ID,
 		Job: id, Points: len(pts)})
 	s.sched.enqueue(ts, &queuedJob{j: j, sweep: sweep, pts: pts})
-	s.met.jobQueued(ts.id)
+	s.met.jobQueued(ts)
 	s.diag.emit(wire.DiagEvent{Type: wire.DiagJobQueued, Tenant: cur.ID,
 		Job: id, State: wire.JobQueued})
 	s.dispatchLocked()
@@ -553,7 +548,7 @@ func (s *Server) dispatchLocked() {
 	for _, d := range s.sched.dispatch(slots) {
 		s.running++
 		d.qj.j.start()
-		s.met.jobDispatched(d.ts.id, time.Since(d.qj.j.createdAt))
+		s.met.jobDispatched(d.ts, time.Since(d.qj.j.createdAt))
 		s.diag.emit(wire.DiagEvent{Type: wire.DiagJobDispatched, Tenant: d.ts.id,
 			Job: d.qj.j.id, State: wire.JobRunning})
 		if s.dispatchHook != nil {
@@ -578,8 +573,7 @@ func (s *Server) terminateQueuedLocked(j *job) bool {
 	}
 	j.cancel()
 	j.fail(wire.JobCanceled, errors.New("canceled while queued"))
-	ts.canceled++
-	s.met.jobTerminatedQueued(ts.id, wire.JobCanceled)
+	s.met.jobTerminatedQueued(ts, wire.JobCanceled)
 	s.diag.emit(wire.DiagEvent{Type: wire.DiagJobFinished, Tenant: j.tenant,
 		Job: j.id, State: wire.JobCanceled, Reason: "canceled while queued"})
 	s.jobsWG.Done()
@@ -601,20 +595,14 @@ func (s *Server) runJob(ts *tenantState, qj *queuedJob) {
 		s.mu.Lock()
 		s.running--
 		ts.running--
-		switch state {
-		case wire.JobDone:
-			ts.done++
+		s.met.jobFinished(ts, state)
+		if state == wire.JobDone {
 			s.totalDur += time.Since(started)
 			s.durCount++
-		case wire.JobFailed:
-			ts.failed++
-		case wire.JobCanceled:
-			ts.canceled++
 		}
 		s.pruneLocked(time.Now())
 		s.dispatchLocked()
 		s.mu.Unlock()
-		s.met.jobFinished(ts.id, state)
 		s.diag.emit(wire.DiagEvent{Type: wire.DiagJobFinished, Tenant: j.tenant,
 			Job: j.id, State: state, Points: j.doneNow(), Reason: j.errNow()})
 	}()
@@ -634,9 +622,6 @@ func (s *Server) runJob(ts *tenantState, qj *queuedJob) {
 		}
 		j.append(wire.EventProgress, wire.FromEvent(ev))
 	}
-	// Resolve the tenant's served-points counter once; the per-outcome
-	// cost is then a single atomic increment.
-	ptsCounter := s.met.pointsCounter(ts.id)
 	for out, err := range qj.sweep(j.ctx, qj.pts, progress) {
 		if err != nil {
 			state := wire.JobFailed
@@ -648,12 +633,7 @@ func (s *Server) runJob(ts *tenantState, qj *queuedJob) {
 		}
 		j.append(wire.EventOutcome, wire.FromOutcome(idx, out))
 		idx++
-		if ptsCounter != nil {
-			ptsCounter.Inc()
-		}
-		s.mu.Lock()
-		ts.points++
-		s.mu.Unlock()
+		ts.met.points.Inc()
 	}
 	j.finish()
 }
@@ -995,11 +975,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Weight:   ts.weight,
 			Running:  ts.running,
 			Queued:   len(ts.queue),
-			Done:     ts.done,
-			Failed:   ts.failed,
-			Canceled: ts.canceled,
-			Rejected: ts.rejected,
-			Points:   ts.points,
+			Done:     int(ts.met.done.Value()),
+			Failed:   int(ts.met.failed.Value()),
+			Canceled: int(ts.met.canceled.Value()),
+			Rejected: int(ts.met.rejected.Value()),
+			Points:   int64(ts.met.points.Value()),
 		})
 	}
 	reg := s.tenants
@@ -1016,82 +996,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		// A coordinator's own counters are job bookkeeping only; the
 		// simulation counters live on the workers. Fold them in so one
 		// stats call answers for the whole fleet.
-		flabs, ftenants := fl.FleetStats(r.Context())
-		st.Labs = mergeLabStats(st.Labs, flabs)
-		st.Tenants = mergeTenantStats(st.Tenants, ftenants)
+		st.Add(fl.FleetStats(r.Context()))
 		st.Workers = fl.Workers()
 	}
 	writeJSON(w, st)
-}
-
-// mergeLabStats sums two per-scale counter sets, each already unique by
-// scale, into one sorted by scale.
-//
-//hotnoc:deterministic
-func mergeLabStats(a, b []hotnoc.LabStats) []hotnoc.LabStats {
-	byScale := map[int]*hotnoc.LabStats{}
-	var scales []int
-	for _, src := range [][]hotnoc.LabStats{a, b} {
-		for _, ls := range src {
-			agg, ok := byScale[ls.Scale]
-			if !ok {
-				agg = &hotnoc.LabStats{Scale: ls.Scale}
-				byScale[ls.Scale] = agg
-				scales = append(scales, ls.Scale)
-			}
-			agg.Workers += ls.Workers
-			agg.BusyWorkers += ls.BusyWorkers
-			agg.Decodes += ls.Decodes
-			agg.CacheHits += ls.CacheHits
-			agg.CacheMisses += ls.CacheMisses
-			agg.BuildHits += ls.BuildHits
-			agg.BuildMisses += ls.BuildMisses
-		}
-	}
-	sort.Ints(scales)
-	out := make([]hotnoc.LabStats, 0, len(scales))
-	for _, sc := range scales {
-		out = append(out, *byScale[sc])
-	}
-	return out
-}
-
-// mergeTenantStats folds worker-side tenant counters into the
-// coordinator's own table by id. Where both sides know a tenant the
-// coordinator's weight is authoritative — workers see shard sub-jobs
-// anonymously, so in practice only the anonymous row overlaps.
-//
-//hotnoc:deterministic
-func mergeTenantStats(local, remote []wire.TenantStats) []wire.TenantStats {
-	byID := map[string]*wire.TenantStats{}
-	var ids []string
-	for i := range local {
-		ts := local[i]
-		byID[ts.ID] = &ts
-		ids = append(ids, ts.ID)
-	}
-	for _, ts := range remote {
-		agg, ok := byID[ts.ID]
-		if !ok {
-			cp := ts
-			byID[ts.ID] = &cp
-			ids = append(ids, ts.ID)
-			continue
-		}
-		agg.Running += ts.Running
-		agg.Queued += ts.Queued
-		agg.Done += ts.Done
-		agg.Failed += ts.Failed
-		agg.Canceled += ts.Canceled
-		agg.Rejected += ts.Rejected
-		agg.Points += ts.Points
-	}
-	sort.Strings(ids)
-	out := make([]wire.TenantStats, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, *byID[id])
-	}
-	return out
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

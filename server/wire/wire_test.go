@@ -2,9 +2,11 @@ package wire
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
+	"hotnoc"
 	"hotnoc/internal/core"
 	"hotnoc/internal/sim"
 )
@@ -107,5 +109,39 @@ func TestOutcomeMsgArms(t *testing.T) {
 	}
 	if !strings.Contains(string(data), `"result"`) || strings.Contains(string(data), `"reactive"`) {
 		t.Fatalf("periodic outcome arms wrong: %s", data)
+	}
+}
+
+// TestStatsAdd: Add sums two snapshots row by row through Samples and
+// SetRows — every numeric field, rows matched by scale and tenant id,
+// sorted — while a tenant's weight comes from the receiver when both
+// carry it.
+func TestStatsAdd(t *testing.T) {
+	st := Stats{
+		Labs:    []hotnoc.LabStats{{Scale: 8, Workers: 2, BusyWorkers: 1, Decodes: 10, CacheHits: 1, CacheMisses: 2, BuildHits: 3, BuildMisses: 4}},
+		Tenants: []TenantStats{{ID: "ci", Weight: 3, Running: 1, Done: 2, Points: 5}},
+	}
+	st.Add(Stats{
+		Labs: []hotnoc.LabStats{
+			{Scale: 16, Decodes: 7},
+			{Scale: 8, Workers: 2, Decodes: 5, BuildMisses: 1},
+		},
+		Tenants: []TenantStats{
+			{ID: "ci", Weight: 9, Queued: 1, Failed: 1, Canceled: 1, Rejected: 2, Points: 1},
+			{ID: "anonymous", Weight: 1, Done: 4},
+		},
+	})
+	want := Stats{
+		Labs: []hotnoc.LabStats{
+			{Scale: 8, Workers: 4, BusyWorkers: 1, Decodes: 15, CacheHits: 1, CacheMisses: 2, BuildHits: 3, BuildMisses: 5},
+			{Scale: 16, Decodes: 7},
+		},
+		Tenants: []TenantStats{
+			{ID: "anonymous", Weight: 1, Done: 4},
+			{ID: "ci", Weight: 3, Running: 1, Queued: 1, Done: 2, Failed: 1, Canceled: 1, Rejected: 2, Points: 6},
+		},
+	}
+	if !reflect.DeepEqual(st, want) {
+		t.Fatalf("Add =\n%+v\nwant\n%+v", st, want)
 	}
 }

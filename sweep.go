@@ -1,10 +1,6 @@
 package hotnoc
 
-import (
-	"context"
-
-	"hotnoc/internal/sim"
-)
+import "hotnoc/internal/sim"
 
 // Re-exported sweep types, so downstream users need only this package.
 type (
@@ -22,12 +18,6 @@ type (
 	// result arm matching its kind: Result for periodic points, Reactive
 	// for reactive ones.
 	SweepOutcome = sim.Outcome
-	// SweepOptions sets the workload scale, worker-pool size, cache
-	// directory and progress callback.
-	SweepOptions = sim.Options
-	// SweepRunner executes grids with persistent build and
-	// characterization caches.
-	SweepRunner = sim.Runner
 )
 
 // The two experiment kinds a SweepPoint can run.
@@ -64,36 +54,8 @@ func ReactiveGrid(config string, cfgs []ReactiveConfig) []SweepPoint {
 // and the hotnocd daemon applies at submission time.
 func ValidateSweep(pts []SweepPoint) error { return sim.ValidatePoints(pts) }
 
-// Sweep evaluates an arbitrary configuration × scheme × period grid
-// concurrently and returns outcomes in point order.
-//
-// Deprecated: use Lab.Sweep (streaming) or Lab.SweepAll:
-//
-//	lab := hotnoc.NewLab(hotnoc.WithScale(8))
-//	outs, err := lab.SweepAll(ctx, pts)
-//
-// Sweep routes through a shared default Lab per (scale, workers,
-// cache-dir), so repeated legacy calls do reuse the build and
-// characterization caches. Only a call with a Progress callback (which
-// cannot be shared) pays for a private runner.
-func Sweep(ctx context.Context, pts []SweepPoint, opts SweepOptions) ([]SweepOutcome, error) {
-	if opts.Progress != nil || opts.CacheLimit != 0 {
-		// Callbacks and eviction policy are per-caller concerns that a
-		// shared Lab cannot honor; such calls keep a private runner.
-		return sim.NewRunner(opts).Run(ctx, pts)
-	}
-	return defaultLab(opts.Scale, opts.Workers, opts.CacheDir).SweepAll(ctx, pts)
-}
-
 // SweepGrid builds the cross product configs × schemes × blocks in
 // configuration-major order. Nil blocks means the one-block base period.
 func SweepGrid(configs []string, schemes []Scheme, blocks []int) []SweepPoint {
 	return sim.Grid(configs, schemes, blocks)
 }
-
-// NewSweepRunner returns a reusable runner whose caches persist across
-// Run calls.
-//
-// Deprecated: use NewLab; a Lab wraps the same runner behind options,
-// streaming sweeps and experiment methods.
-func NewSweepRunner(opts SweepOptions) *SweepRunner { return sim.NewRunner(opts) }

@@ -17,7 +17,7 @@ func TestSweepFigure1GridMatchesSerial(t *testing.T) {
 	if len(pts) != 25 {
 		t.Fatalf("%d grid points, want 25", len(pts))
 	}
-	outs, err := Sweep(context.Background(), pts, SweepOptions{Scale: testScale})
+	outs, err := testLab.SweepAll(context.Background(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,25 +43,23 @@ func TestSweepFigure1GridMatchesSerial(t *testing.T) {
 func TestSweepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Sweep(ctx, SweepGrid([]string{"A"}, Schemes(), nil),
-		SweepOptions{Scale: testScale}); !errors.Is(err, context.Canceled) {
+	if _, err := testLab.SweepAll(ctx, SweepGrid([]string{"A"}, Schemes(), nil)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
-// TestSweepRunnerReuse: a persistent runner reuses its build cache across
-// Run calls.
+// TestSweepRunnerReuse: a Lab reuses its build cache across sweeps.
 func TestSweepRunnerReuse(t *testing.T) {
-	r := NewSweepRunner(SweepOptions{Scale: testScale})
-	first, err := r.Run(context.Background(), []SweepPoint{{Config: "D", Scheme: XYShift()}})
+	lab := NewLab(WithScale(testScale))
+	first, err := lab.SweepAll(context.Background(), []SweepPoint{{Config: "D", Scheme: XYShift()}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := r.Run(context.Background(), []SweepPoint{{Config: "D", Scheme: Rot()}})
+	second, err := lab.SweepAll(context.Background(), []SweepPoint{{Config: "D", Scheme: Rot()}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first[0].Built != second[0].Built {
-		t.Error("runner rebuilt configuration D on the second sweep")
+		t.Error("lab rebuilt configuration D on the second sweep")
 	}
 }
