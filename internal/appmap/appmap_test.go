@@ -2,6 +2,9 @@ package appmap
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"hotnoc/internal/geom"
@@ -319,5 +322,80 @@ func TestCheckOfEdge(t *testing.T) {
 		if got := checkOfEdge(prefix, id); got != want {
 			t.Fatalf("checkOfEdge(%d) = %d, want %d", id, got, want)
 		}
+	}
+}
+
+// TestCloneDecodesIdentically: clones share the original's static tables
+// and decode concurrently, each bit for bit like a freshly built engine —
+// the same decisions, cycle count and activity on its own network.
+func TestCloneDecodesIdentically(t *testing.T) {
+	code := mustCode(t, 160, 80, 3, 13)
+	part, err := Skewed(code, 16, 2, 0.6, 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, llr := randomLLRs(code, 2.0, 15)
+	place := geom.FromTransform(geom.NewGrid(4, 4), geom.Rotation(4))
+
+	decode := func(e *Engine) (BlockResult, *noc.Network) {
+		t.Helper()
+		e.MaxIter = 5
+		p := make([]int, 16)
+		for i := range p {
+			p[i] = place.Dst(i)
+		}
+		if err := e.SetPlacement(p); err != nil {
+			t.Error(err)
+		}
+		res, err := e.Decode(llr)
+		if err != nil {
+			t.Error(err)
+		}
+		return res, e.Net
+	}
+	want, wantNet := decode(newEngine(t, code, part, 4))
+
+	orig := newEngine(t, code, part, 4)
+	orig.MaxIter = 5
+	if _, err := orig.Decode(llr); err != nil {
+		t.Fatal(err)
+	}
+	const clones = 4
+	results := make([]BlockResult, clones)
+	nets := make([]*noc.Network, clones)
+	var wg sync.WaitGroup
+	for k := range clones {
+		net, err := noc.New(geom.NewGrid(4, 4), noc.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := orig.Clone(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.tab != orig.tab {
+			t.Fatal("clone rebuilt the static tables")
+		}
+		if !slices.Equal(c.Placement(), identity(16)) {
+			t.Fatalf("clone placement %v, want identity", c.Placement())
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[k], nets[k] = decode(c)
+		}()
+	}
+	wg.Wait()
+	for k := range clones {
+		if !reflect.DeepEqual(results[k], want) {
+			t.Fatalf("clone %d: result %+v, want %+v", k, results[k], want)
+		}
+		if nets[k].Stats != wantNet.Stats || !reflect.DeepEqual(nets[k].Act, wantNet.Act) {
+			t.Fatalf("clone %d: network stats %+v, want %+v", k, nets[k].Stats, wantNet.Stats)
+		}
+	}
+
+	if _, err := orig.Clone(newEngine(t, code, Contiguous(code, 9), 3).Net); err == nil {
+		t.Fatal("clone onto a mismatched mesh accepted")
 	}
 }

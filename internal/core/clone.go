@@ -1,18 +1,16 @@
 package core
 
-import (
-	"hotnoc/internal/appmap"
-	"hotnoc/internal/noc"
-)
+import "hotnoc/internal/noc"
 
 // Clone returns an independent, ready-to-run copy of the system in its
 // initial (pre-migration) state. The clone gets its own network, engine,
 // migrator and I/O translator — everything a run mutates — while sharing
 // the read-only calibration products: the thermal network, energy and
-// leakage tables, code, partition, placement and block source. Cloning is
-// how a concurrent sweep turns one calibrated Built into per-worker
-// systems without repeating placement annealing or energy calibration;
-// a clone's runs are bitwise identical to the original's.
+// leakage tables, code, partition, the engine's static decode tables,
+// placement and block source. Cloning is how a concurrent sweep turns one
+// calibrated Built into per-worker systems without repeating placement
+// annealing or energy calibration; a clone's runs are bitwise identical
+// to the original's.
 func (s *System) Clone() (*System, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -21,15 +19,10 @@ func (s *System) Clone() (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := appmap.NewEngine(s.Engine.Code, s.Engine.Part, net)
+	eng, err := s.Engine.Clone(net)
 	if err != nil {
 		return nil, err
 	}
-	eng.MaxIter = s.Engine.MaxIter
-	eng.NormNum, eng.NormDen = s.Engine.NormNum, s.Engine.NormDen
-	eng.MsgsPerFlit = s.Engine.MsgsPerFlit
-	eng.CyclesPerOp = s.Engine.CyclesPerOp
-	eng.PhaseOverhead = s.Engine.PhaseOverhead
 
 	mig := NewMigrator(net)
 	mig.StateFlits = s.Migrator.StateFlits

@@ -10,8 +10,8 @@ package ldpc
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"sort"
 )
 
 // Code is a binary LDPC code defined by its parity-check matrix H
@@ -35,9 +35,11 @@ type Code struct {
 	// parityCols[j] carries parity bit j.
 	infoCols   []int
 	parityCols []int
-	// parityEq[j] lists the information-bit indices XORed to produce
-	// parity bit j (dense row of the systematic A matrix, kept sparse).
-	parityEq [][]int
+	// parityEq holds row j of the systematic A matrix as a bit set over
+	// the information bits, words uint64s per row: parity bit j is the
+	// XOR of the information bits set in parityEq[j*words:(j+1)*words].
+	parityEq []uint64
+	words    int
 }
 
 // K returns the information length of the code.
@@ -87,11 +89,11 @@ func buildRegular(n, m, colWeight int, rng *rand.Rand) (*Code, error) {
 		VarNbrs:   make([][]int, n),
 	}
 	deg := make([]int, m)
+	pick := make([]int, colWeight)
 	for v := 0; v < n; v++ {
-		// Select colWeight distinct checks of minimal degree.
-		order := rng.Perm(m)
-		sort.SliceStable(order, func(i, j int) bool { return deg[order[i]] < deg[order[j]] })
-		for _, ch := range order[:colWeight] {
+		// Select colWeight distinct checks of minimal degree, ties broken
+		// by a random order.
+		for _, ch := range lowestDegree(pick, rng.Perm(m), deg) {
 			c.CheckNbrs[ch] = append(c.CheckNbrs[ch], v)
 			c.VarNbrs[v] = append(c.VarNbrs[v], ch)
 			deg[ch]++
@@ -103,10 +105,35 @@ func buildRegular(n, m, colWeight int, rng *rand.Rand) (*Code, error) {
 	return c, nil
 }
 
+// lowestDegree fills pick with the len(pick) checks of order that come
+// first when order is stably sorted by degree — the smallest by (degree,
+// position in order) — in that sorted order, in one pass over order.
+func lowestDegree(pick, order, deg []int) []int {
+	n := 0
+	for _, ch := range order {
+		d := deg[ch]
+		// Later positions lose ties, so ch enters only ahead of a pick
+		// of strictly higher degree.
+		i := n
+		for i > 0 && deg[pick[i-1]] > d {
+			i--
+		}
+		if i == len(pick) {
+			continue
+		}
+		if n < len(pick) {
+			n++
+		}
+		copy(pick[i+1:n], pick[i:n-1])
+		pick[i] = ch
+	}
+	return pick[:n]
+}
+
 // deriveEncoder Gaussian-eliminates H over GF(2) into [A | I] form (with
-// column pivoting) and extracts the sparse parity equations. Codewords are
-// laid out in natural column order; infoCols and parityCols record which
-// codeword positions hold information and parity.
+// column pivoting) and extracts the parity equations as bit rows.
+// Codewords are laid out in natural column order; infoCols and parityCols
+// record which codeword positions hold information and parity.
 func (c *Code) deriveEncoder() error {
 	m, n := c.M, c.N
 	// Dense bit matrix, one row per check, packed into uint64 words.
@@ -169,15 +196,16 @@ func (c *Code) deriveEncoder() error {
 	}
 	// After full reduction, row r reads: parity(pivotCol[r]) = XOR of the
 	// information columns set in row r.
-	c.parityEq = make([][]int, rank)
+	c.words = (c.k + 63) / 64
+	c.parityEq = make([]uint64, rank*c.words)
 	for r := 0; r < rank; r++ {
-		var eq []int
-		for col := 0; col < n; col++ {
-			if !usedCol[col] && get(h[r], col) {
-				eq = append(eq, infoIdx[col])
+		eq := c.parityEq[r*c.words : (r+1)*c.words]
+		for _, col := range c.infoCols {
+			if get(h[r], col) {
+				i := infoIdx[col]
+				eq[i/64] |= 1 << (uint(i) % 64)
 			}
 		}
-		c.parityEq[r] = eq
 	}
 	return nil
 }
@@ -189,15 +217,17 @@ func (c *Code) Encode(info []uint8) ([]uint8, error) {
 		return nil, fmt.Errorf("ldpc: encoding %d bits with k=%d", len(info), c.k)
 	}
 	cw := make([]uint8, c.N)
+	packed := make([]uint64, c.words)
 	for i, col := range c.infoCols {
 		cw[col] = info[i] & 1
+		packed[i/64] |= uint64(info[i]&1) << (uint(i) % 64)
 	}
 	for j, col := range c.parityCols {
-		p := uint8(0)
-		for _, i := range c.parityEq[j] {
-			p ^= info[i] & 1
+		ones := 0
+		for w, row := range c.parityEq[j*c.words : (j+1)*c.words] {
+			ones += bits.OnesCount64(row & packed[w])
 		}
-		cw[col] = p
+		cw[col] = uint8(ones & 1)
 	}
 	return cw, nil
 }

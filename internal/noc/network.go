@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hotnoc/internal/geom"
 	"hotnoc/internal/power"
@@ -34,10 +35,15 @@ func (s Stats) Throughput() float64 {
 	return float64(s.FlitsDelivered) / float64(s.Cycles)
 }
 
-// ni is the network interface of one PE: an injection queue of flits and
-// the reassembly state of the worm currently being ejected.
+// ni is the network interface of one PE: a queue of packets awaiting
+// injection, of which the first has sent flits already, and the
+// reassembly state of the worm currently being ejected.
 type ni struct {
-	queue      []Flit
+	queue []*Packet
+	head  int // queue[head] is the packet being injected
+	sent  int // flits of queue[head] already injected
+	flits int // flits queued and not yet injected
+	// reassembly is the worm currently being ejected.
 	reassembly *Packet
 }
 
@@ -79,10 +85,12 @@ func New(g geom.Grid, cfg Config) (*Network, error) {
 	}
 	for i := range n.routers {
 		r := &n.routers[i]
-		r.pos = i
-		c := g.Coord(i)
-		r.coord.x, r.coord.y = c.X, c.Y
+		r.coord = g.Coord(i)
 		for d := Dir(0); d < numDirs; d++ {
+			r.nbr[d] = -1
+			if nb := r.coord.Add(d.offset()); d != Local && g.Contains(nb) {
+				r.nbr[d] = g.Index(nb)
+			}
 			r.in[d].buf = newFifo(cfg.BufDepth)
 		}
 	}
@@ -108,13 +116,19 @@ func (n *Network) Send(pkt *Packet) error {
 		return fmt.Errorf("noc: packet %d has %d flits", pkt.ID, pkt.NFlits)
 	}
 	q := &n.nis[n.Grid.Index(pkt.Src)]
-	if n.Cfg.InjectCap > 0 && len(q.queue)+pkt.NFlits > n.Cfg.InjectCap {
+	if n.Cfg.InjectCap > 0 && q.flits+pkt.NFlits > n.Cfg.InjectCap {
 		return fmt.Errorf("noc: injection queue full at %v", pkt.Src)
 	}
-	pkt.InjectCycle = n.Cycle
-	for s := 0; s < pkt.NFlits; s++ {
-		q.queue = append(q.queue, Flit{Pkt: pkt, Seq: s})
+	if len(q.queue) == cap(q.queue) && q.head >= len(q.queue)/2 {
+		// Reclaim the injected prefix before growing the queue.
+		live := copy(q.queue, q.queue[q.head:])
+		clear(q.queue[live:])
+		q.queue = q.queue[:live]
+		q.head = 0
 	}
+	pkt.InjectCycle = n.Cycle
+	q.queue = append(q.queue, pkt)
+	q.flits += pkt.NFlits
 	n.Stats.PacketsSent++
 	n.Stats.FlitsInjected += int64(pkt.NFlits)
 	n.inflight += int64(pkt.NFlits)
@@ -127,19 +141,30 @@ func (n *Network) Busy() bool { return n.inflight > 0 }
 // Step advances the network by one clock cycle. Phases run in a fixed
 // order — ejection, link traversal, switch allocation/traversal,
 // injection — over routers in row-major order, so runs are deterministic.
+// A cycle of an idle network only advances the cycle counters.
+//
+//hotnoc:noalloc
 func (n *Network) Step() {
-	n.eject()
-	n.linkTraversal()
-	n.switchAllocTraversal()
-	n.inject()
+	if n.inflight > 0 {
+		n.eject()
+		n.linkTraversal()
+		n.switchAllocTraversal()
+		n.inject()
+	}
 	n.Cycle++
 	n.Stats.Cycles++
 }
 
-// Run steps the network for the given number of cycles.
+// Run steps the network for the given number of cycles. Once the network
+// is idle it skips the remaining cycles in one jump, since an idle cycle
+// changes nothing but Cycle and Stats.Cycles.
 func (n *Network) Run(cycles int64) {
-	for i := int64(0); i < cycles; i++ {
+	for ; cycles > 0 && n.Busy(); cycles-- {
 		n.Step()
+	}
+	if cycles > 0 {
+		n.Cycle += cycles
+		n.Stats.Cycles += cycles
 	}
 }
 
@@ -164,12 +189,12 @@ func (n *Network) Drain(maxCycles int64) (int64, error) {
 func (n *Network) eject() {
 	for i := range n.routers {
 		r := &n.routers[i]
-		op := &r.out[Local]
-		if !op.valid {
+		if r.latched&(1<<Local) == 0 {
 			continue
 		}
-		f := op.flit
-		op.valid = false
+		f := r.out[Local].flit
+		r.out[Local].flit = Flit{}
+		r.latched &^= 1 << Local
 		n.inflight--
 		sink := &n.nis[i]
 		if f.IsHead() {
@@ -191,7 +216,7 @@ func (n *Network) eject() {
 			}
 			n.Stats.LatencySum += pkt.Latency()
 			if n.Deliver != nil {
-				n.Deliver(pkt)
+				n.Deliver(pkt) //hotnoc:allow noalloc the application's sink; the kernel itself allocates nothing, and the callback's own cost is the caller's
 			}
 		}
 	}
@@ -202,53 +227,47 @@ func (n *Network) eject() {
 func (n *Network) linkTraversal() {
 	for i := range n.routers {
 		r := &n.routers[i]
-		for d := North; d < numDirs; d++ {
-			op := &r.out[d]
-			if !op.valid {
-				continue
-			}
-			nbCoord := n.Grid.Coord(i).Add(d.offset())
-			nb := &n.routers[n.Grid.Index(nbCoord)]
-			in := &nb.in[d.Opposite()]
-			if in.buf.full() {
+		for m := r.latched &^ (1 << Local); m != 0; m &= m - 1 {
+			d := Dir(bits.TrailingZeros8(m))
+			j, od := r.nbr[d], opposite[d]
+			if n.routers[j].in[od].buf.full() {
 				continue // stall; retry next cycle
 			}
-			in.buf.push(op.flit)
-			op.valid = false
+			n.routers[j].accept(od, r.out[d].flit)
+			r.out[d].flit = Flit{}
+			r.latched &^= 1 << d
 			n.Act.Link[i]++
-			n.Act.BufWrites[nb.pos]++
+			n.Act.BufWrites[j]++
 		}
 	}
 }
 
 // switchAllocTraversal arbitrates each free output port among requesting
-// inputs and moves the winners' front flits across the crossbar.
+// inputs and moves the winners' front flits across the crossbar. Outputs
+// are visited in port order, and a winner's request is recomputed right
+// after its pop: when a tail leaves, the next worm's head in the same
+// input may win a later free output in the same cycle.
 func (n *Network) switchAllocTraversal() {
 	for i := range n.routers {
 		r := &n.routers[i]
-		cur := n.Grid.Coord(i)
-		for o := Dir(0); o < numDirs; o++ {
-			op := &r.out[o]
-			if op.valid {
-				continue // latch occupied; downstream stalled
-			}
-			req := func(in Dir) bool {
-				ip := &r.in[in]
-				if ip.buf.empty() {
-					return false
-				}
-				f := ip.buf.front()
-				if ip.holding {
-					return ip.route == o
-				}
-				if !f.IsHead() {
-					// A body flit with no route state means the head was
-					// mis-sequenced; impossible by construction.
-					panic("noc: body flit at port head without route state")
-				}
-				return routeXY(cur, f.Pkt.Dst) == o
-			}
-			winner, ok := r.arbitrate(o, req)
+		if r.occupied == 0 {
+			continue
+		}
+		// want[o] has bit in set while input in requests output o, and
+		// free has bit o set while o is requested and its latch is free.
+		var want [numDirs]uint8
+		var free uint8
+		for occ := r.occupied; occ != 0; occ &= occ - 1 {
+			in := Dir(bits.TrailingZeros8(occ))
+			o := r.in[in].req
+			want[o] |= 1 << in
+			free |= 1 << o
+		}
+		free &^= r.latched
+		for free != 0 {
+			o := Dir(bits.TrailingZeros8(free))
+			free &^= 1 << o
+			winner, ok := r.arbitrate(o, want[o])
 			if !ok {
 				continue
 			}
@@ -257,8 +276,9 @@ func (n *Network) switchAllocTraversal() {
 			f := ip.buf.pop()
 			n.Act.BufReads[i]++
 			n.Act.Xbar[i]++
+			op := &r.out[o]
 			op.flit = f
-			op.valid = true
+			r.latched |= 1 << o
 			if f.IsHead() {
 				op.owner = winner
 				op.owned = true
@@ -269,24 +289,43 @@ func (n *Network) switchAllocTraversal() {
 				op.owned = false
 				ip.holding = false
 			}
+			if ip.buf.empty() {
+				r.occupied &^= 1 << winner
+				continue
+			}
+			// Outputs before o are done and o is now latched, so only a
+			// later free output can see the winner's next request.
+			next := r.request(winner)
+			ip.req = next
+			if next > o && r.latched&(1<<next) == 0 {
+				want[next] |= 1 << winner
+				free |= 1 << next
+			}
 		}
 	}
 }
 
-// inject moves flits from NI queues into the Local input buffers.
+// inject moves flits from NI queues into the Local input buffers, one flit
+// per cycle across each NI-router interface.
 func (n *Network) inject() {
-	for i := range n.routers {
+	for i := range n.nis {
 		q := &n.nis[i]
-		if len(q.queue) == 0 {
-			q.queue = nil
+		r := &n.routers[i]
+		if q.flits == 0 || r.in[Local].buf.full() {
 			continue
 		}
-		buf := &n.routers[i].in[Local].buf
-		// One flit per cycle across the NI-router interface.
-		if !buf.full() {
-			buf.push(q.queue[0])
-			n.Act.BufWrites[i]++
-			q.queue = q.queue[1:]
+		pkt := q.queue[q.head]
+		r.accept(Local, Flit{Pkt: pkt, Seq: q.sent})
+		n.Act.BufWrites[i]++
+		q.flits--
+		if q.sent++; q.sent == pkt.NFlits {
+			q.queue[q.head] = nil
+			q.head++
+			q.sent = 0
+			if q.head == len(q.queue) {
+				q.queue = q.queue[:0]
+				q.head = 0
+			}
 		}
 	}
 }
@@ -304,7 +343,7 @@ func (n *Network) ResetStats() {
 func (n *Network) QueuedFlits() int {
 	total := 0
 	for i := range n.nis {
-		total += len(n.nis[i].queue)
+		total += n.nis[i].flits
 	}
 	return total
 }

@@ -1,5 +1,11 @@
 package noc
 
+import (
+	"math/bits"
+
+	"hotnoc/internal/geom"
+)
+
 // fifo is a fixed-capacity flit FIFO implemented as a ring buffer; input
 // buffers are the only queues inside a router.
 type fifo struct {
@@ -12,17 +18,19 @@ func newFifo(capacity int) fifo {
 	return fifo{slots: make([]Flit, capacity)}
 }
 
-func (q *fifo) len() int    { return q.n }
 func (q *fifo) full() bool  { return q.n == len(q.slots) }
 func (q *fifo) empty() bool { return q.n == 0 }
 func (q *fifo) front() Flit { return q.slots[q.head] }
-func (q *fifo) space() int  { return len(q.slots) - q.n }
 
 func (q *fifo) push(f Flit) {
 	if q.full() {
 		panic("noc: push to full fifo (flow control broken)")
 	}
-	q.slots[(q.head+q.n)%len(q.slots)] = f
+	i := q.head + q.n
+	if i >= len(q.slots) {
+		i -= len(q.slots)
+	}
+	q.slots[i] = f
 	q.n++
 }
 
@@ -32,7 +40,10 @@ func (q *fifo) pop() Flit {
 	}
 	f := q.slots[q.head]
 	q.slots[q.head] = Flit{}
-	q.head = (q.head + 1) % len(q.slots)
+	q.head++
+	if q.head == len(q.slots) {
+		q.head = 0
+	}
 	q.n--
 	return f
 }
@@ -45,13 +56,17 @@ type inPort struct {
 	route Dir
 	// holding is true while a worm's flits still follow route.
 	holding bool
+	// req is the output the front flit requests, valid while the FIFO is
+	// not empty. It changes only when the front changes, so it is
+	// computed then rather than every cycle.
+	req Dir
 }
 
 // outPort is a one-deep output latch feeding the link to the neighbour
-// (or the ejection path for Local).
+// (or the ejection path for Local). Whether the latch holds a flit is the
+// port's bit in router.latched.
 type outPort struct {
-	flit  Flit
-	valid bool
+	flit Flit
 	// owner is the input port whose worm currently owns this output;
 	// ownership starts at head grant and ends when the tail traverses.
 	owner Dir
@@ -64,31 +79,68 @@ type outPort struct {
 // Network.Step in a fixed phase order, so routers need no goroutines and
 // the simulation is bit-reproducible.
 type router struct {
-	pos   int // row-major block index
-	coord struct{ x, y int }
-	in    [numDirs]inPort
-	out   [numDirs]outPort
+	coord geom.Coord
+	// nbr[d] is the block index of the neighbour in direction d (-1 off
+	// the mesh, and unused for Local).
+	nbr [numDirs]int
+	// occupied has bit d set while input FIFO d holds a flit.
+	occupied uint8
+	// latched has bit d set while output latch d holds a flit.
+	latched uint8
+	in      [numDirs]inPort
+	out     [numDirs]outPort
 }
 
-// arbitrate runs one round of switch allocation for output port o,
-// returning the winning input port and whether anyone won. Round-robin
-// starts after the previous winner, giving each input fair access — the
-// same policy for every router keeps migration timing deterministic.
-func (r *router) arbitrate(o Dir, request func(in Dir) bool) (Dir, bool) {
+// accept pushes f into input d's FIFO. A flit arriving at an empty FIFO
+// is the new front, so its request is computed here.
+func (r *router) accept(d Dir, f Flit) {
+	ip := &r.in[d]
+	ip.buf.push(f)
+	if r.occupied&(1<<d) == 0 {
+		r.occupied |= 1 << d
+		ip.req = r.request(d)
+	}
+}
+
+// request returns the output port the front flit of the non-empty input
+// in asks for: the worm's allocated route while it holds one, otherwise
+// the XY route of the head flit.
+func (r *router) request(in Dir) Dir {
+	ip := &r.in[in]
+	if ip.holding {
+		return ip.route
+	}
+	f := ip.buf.front()
+	if !f.IsHead() {
+		// A body flit with no route state means the head was
+		// mis-sequenced; impossible by construction.
+		panic("noc: body flit at port head without route state")
+	}
+	return routeXY(r.coord, f.Pkt.Dst)
+}
+
+// arbitrate runs one round of switch allocation for output port o among
+// the inputs in want (bit i set when input i requests o), returning the
+// winning input port and whether anyone won. Round-robin starts after the
+// previous winner, giving each input fair access — the same policy for
+// every router keeps migration timing deterministic.
+func (r *router) arbitrate(o Dir, want uint8) (Dir, bool) {
 	op := &r.out[o]
 	if op.owned {
 		// Wormhole continuity: only the owner may use the port.
-		if request(op.owner) {
-			return op.owner, true
-		}
+		return op.owner, want&(1<<op.owner) != 0
+	}
+	if want == 0 {
 		return 0, false
 	}
-	for k := 1; k <= int(numDirs); k++ {
-		cand := Dir((int(op.rr) + k) % int(numDirs))
-		if request(cand) {
-			op.rr = cand
-			return cand, true
-		}
+	// Rotate want so bit 0 is the input after the pointer; the lowest set
+	// bit is then the first requester in round-robin order.
+	start := uint(op.rr) + 1
+	rot := (want>>start | want<<(uint(numDirs)-start)) & (1<<numDirs - 1)
+	cand := Dir(start) + Dir(bits.TrailingZeros8(rot))
+	if cand >= numDirs {
+		cand -= numDirs
 	}
-	return 0, false
+	op.rr = cand
+	return cand, true
 }
