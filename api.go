@@ -16,7 +16,7 @@
 //   - internal/appmap     the decoder distributed across PEs as NoC traffic
 //   - internal/place      thermally-aware simulated-annealing placement
 //   - internal/core       migration schemes, phased state transfer,
-//     I/O address translation, runtime manager
+//     runtime manager
 //   - internal/chipcfg    the paper's test-chip configurations A-E
 //
 // Typical use — a Lab is the session handle that owns the build cache and

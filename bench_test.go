@@ -257,7 +257,7 @@ func BenchmarkAblationReactive(b *testing.B) {
 	trigger := (periodic.BaselinePeakC + periodic.MigratedPeakC) / 2
 	var last ReactiveResult
 	for i := 0; i < b.N; i++ {
-		res, err := built.System.RunReactive(ReactiveConfig{
+		res, err := directReactive(built.System, ReactiveConfig{
 			Scheme: XYShift(), TriggerC: trigger, SimBlocks: 512, WarmupBlocks: 256,
 		})
 		if err != nil {

@@ -331,21 +331,22 @@ func (c *Client) dispatch(event string, data []byte, pts []hotnoc.SweepPoint, bu
 		if m.Index != *next {
 			return streamLive, fmt.Errorf("client: outcome %d arrived out of order (want %d)", m.Index, *next)
 		}
+		if m.Index >= len(pts) {
+			return streamLive, fmt.Errorf("client: outcome %d beyond the %d submitted points", m.Index, len(pts))
+		}
 		// A daemon predating the unified point model silently drops the
 		// reactive fields and evaluates the point as periodic; the kind it
 		// echoes back betrays that, so fail loudly instead of handing the
 		// caller results of the wrong experiment.
-		if m.Index < len(pts) {
-			sent, got := pts[m.Index].Kind() == hotnoc.KindReactive, m.Point.Kind == wire.KindReactive
-			if sent != got {
-				echoed := m.Point.Kind
-				if echoed == "" {
-					echoed = wire.KindPeriodic
-				}
-				return streamLive, fmt.Errorf(
-					"client: outcome %d came back %s but point was submitted as %s (daemon predates the unified point model?)",
-					m.Index, echoed, pts[m.Index].Kind())
+		sent, got := pts[m.Index].Kind() == hotnoc.KindReactive, m.Point.Kind == wire.KindReactive
+		if sent != got {
+			echoed := m.Point.Kind
+			if echoed == "" {
+				echoed = wire.KindPeriodic
 			}
+			return streamLive, fmt.Errorf(
+				"client: outcome %d came back %s but point was submitted as %s (daemon predates the unified point model?)",
+				m.Index, echoed, pts[m.Index].Kind())
 		}
 		*next++
 		if !yield(outcomeFromMsg(m, builts), nil) {

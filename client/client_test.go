@@ -19,8 +19,9 @@ import (
 // oldDaemon fakes a hotnocd predating the unified point model: its JSON
 // decoder drops the unknown kind/reactive fields, so every submitted
 // point is accepted and evaluated as periodic, and the echoed PointSpec
-// carries no reactive payload.
-func oldDaemon(t *testing.T) string {
+// carries no reactive payload. It streams extra outcomes past the
+// submitted points, as a buggy or hostile daemon might.
+func oldDaemon(t *testing.T, extra int) string {
 	t.Helper()
 	var points []wire.PointSpec
 	mux := http.NewServeMux()
@@ -45,7 +46,8 @@ func oldDaemon(t *testing.T) string {
 	})
 	mux.HandleFunc("GET /v1/sweeps/{id}/events", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/event-stream")
-		for i, p := range points {
+		for i := range len(points) + extra {
+			p := points[i%len(points)]
 			msg := wire.OutcomeMsg{Index: i, Point: p, Built: wire.BuiltInfo{
 				Config: p.Config, GridW: 4, GridH: 4, ClockHz: 1e9, StaticPeakC: 80, BlockCycles: 1000,
 			}}
@@ -67,7 +69,7 @@ func oldDaemon(t *testing.T) string {
 // caller results of the wrong experiment. A pure periodic grid against
 // the same daemon still streams fine.
 func TestSweepDetectsKindSkew(t *testing.T) {
-	c := New(oldDaemon(t))
+	c := New(oldDaemon(t, 0))
 	ctx := context.Background()
 
 	pts := []hotnoc.SweepPoint{
@@ -86,6 +88,31 @@ func TestSweepDetectsKindSkew(t *testing.T) {
 	}
 	if len(outs) != 1 {
 		t.Fatalf("%d outcomes, want 1", len(outs))
+	}
+}
+
+// TestSweepRejectsExtraOutcome: a daemon that streams an outcome past the
+// last submitted point gets an error before the consumer sees it.
+func TestSweepRejectsExtraOutcome(t *testing.T) {
+	c := New(oldDaemon(t, 1))
+	pts := []hotnoc.SweepPoint{
+		hotnoc.PeriodicPoint("A", hotnoc.Rot(), 1),
+		hotnoc.PeriodicPoint("A", hotnoc.Rot(), 4),
+	}
+	seen := 0
+	var last error
+	for _, err := range c.Sweep(context.Background(), pts) {
+		if err != nil {
+			last = err
+			break
+		}
+		seen++
+	}
+	if seen != len(pts) {
+		t.Errorf("consumer saw %d outcomes for %d points", seen, len(pts))
+	}
+	if last == nil || !strings.Contains(last.Error(), "outcome 2 beyond the 2 submitted points") {
+		t.Errorf("extra outcome not rejected (err %v)", last)
 	}
 }
 

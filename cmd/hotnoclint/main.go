@@ -2,8 +2,10 @@
 // in internal/lint over the requested packages and exits non-zero on
 // any finding. CI and scripts/check.sh run it over ./... so the
 // codebase's hard-won invariants — collector lock ordering, noalloc
-// hot loops, bitwise-deterministic sweep paths, never-cached errors —
-// fail the build instead of waiting for a reviewer.
+// hot loops, bitwise-deterministic sweep paths, never-cached errors, no
+// dead exports in internal packages — fail the build instead of waiting
+// for a reviewer. deadexport judges the whole module, so it reports only
+// when the patterns cover it (./... from the module root).
 //
 // Usage:
 //

@@ -13,14 +13,14 @@ import (
 // checking it.
 func TestRegistersAllAnalyzers(t *testing.T) {
 	all := lint.All()
-	if len(all) < 4 {
-		t.Fatalf("lint.All() registers %d analyzers, want at least the core 4", len(all))
+	if len(all) < 5 {
+		t.Fatalf("lint.All() registers %d analyzers, want at least the core 5", len(all))
 	}
 	names := map[string]bool{}
 	for _, a := range all {
 		names[a.Name] = true
 	}
-	for _, core := range []string{"lockorder", "noalloc", "determinism", "errcache"} {
+	for _, core := range []string{"lockorder", "noalloc", "determinism", "errcache", "deadexport"} {
 		if !names[core] {
 			t.Errorf("core analyzer %q missing from lint.All()", core)
 		}

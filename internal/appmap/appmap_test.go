@@ -399,3 +399,32 @@ func TestCloneDecodesIdentically(t *testing.T) {
 		t.Fatal("clone onto a mismatched mesh accepted")
 	}
 }
+
+// Contiguous stripes variables and checks across PEs in index order —
+// the balanced baseline partition.
+func Contiguous(code *ldpc.Code, npe int) *Partition {
+	p := &Partition{NPE: npe, VarPE: make([]int, code.N), CheckPE: make([]int, code.M)}
+	for v := range p.VarPE {
+		p.VarPE[v] = v * npe / code.N
+	}
+	for c := range p.CheckPE {
+		p.CheckPE[c] = c * npe / code.M
+	}
+	return p
+}
+
+// Interleaved deals nodes round-robin, maximising traffic spread (an
+// all-to-all communication pattern).
+func Interleaved(code *ldpc.Code, npe int) *Partition {
+	p := &Partition{NPE: npe, VarPE: make([]int, code.N), CheckPE: make([]int, code.M)}
+	for v := range p.VarPE {
+		p.VarPE[v] = v % npe
+	}
+	for c := range p.CheckPE {
+		p.CheckPE[c] = c % npe
+	}
+	return p
+}
+
+// Placement returns a copy of the current logical-to-physical mapping.
+func (e *Engine) Placement() []int { return append([]int(nil), e.place...) }

@@ -300,9 +300,6 @@ func (e *Engine) SetPlacement(place []int) error {
 	return nil
 }
 
-// Placement returns a copy of the current logical-to-physical mapping.
-func (e *Engine) Placement() []int { return append([]int(nil), e.place...) }
-
 // BlockResult summarises one decoded block.
 type BlockResult struct {
 	Decisions []uint8
@@ -323,8 +320,7 @@ type pendingPkt struct {
 
 // Decode runs one block through the distributed decoder, driving the
 // network cycle-by-cycle. Channel LLRs are assumed pre-loaded into the PEs
-// (codeword I/O is modelled as PE-local work; chip-boundary address
-// translation is exercised by the core package's I/O translator).
+// (codeword I/O is modelled as PE-local work).
 func (e *Engine) Decode(chLLR []ldpc.LLR) (BlockResult, error) {
 	code := e.Code
 	if len(chLLR) != code.N {

@@ -49,32 +49,6 @@ func (p *Partition) Validate(code *ldpc.Code) error {
 	return nil
 }
 
-// Contiguous stripes variables and checks across PEs in index order —
-// the balanced baseline partition.
-func Contiguous(code *ldpc.Code, npe int) *Partition {
-	p := &Partition{NPE: npe, VarPE: make([]int, code.N), CheckPE: make([]int, code.M)}
-	for v := range p.VarPE {
-		p.VarPE[v] = v * npe / code.N
-	}
-	for c := range p.CheckPE {
-		p.CheckPE[c] = c * npe / code.M
-	}
-	return p
-}
-
-// Interleaved deals nodes round-robin, maximising traffic spread (an
-// all-to-all communication pattern).
-func Interleaved(code *ldpc.Code, npe int) *Partition {
-	p := &Partition{NPE: npe, VarPE: make([]int, code.N), CheckPE: make([]int, code.M)}
-	for v := range p.VarPE {
-		p.VarPE[v] = v % npe
-	}
-	for c := range p.CheckPE {
-		p.CheckPE[c] = c % npe
-	}
-	return p
-}
-
 // Skewed concentrates check processing: a fraction `heavyShare` of all
 // checks lands on the first `heavyPEs` PEs (variables stay striped). This
 // reproduces the paper's observation that configurations differ in "the

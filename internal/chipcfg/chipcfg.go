@@ -406,7 +406,6 @@ func (s Spec) build(data *BuildData) (*Built, error) {
 		Migrator:     mig,
 		InitialPlace: pl.Place,
 		BlockSource:  func(leg int) []ldpc.LLR { return llr },
-		IO:           core.NewIOTranslator(g),
 	}
 	return &Built{
 		Spec:        s,

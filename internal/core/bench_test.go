@@ -43,17 +43,3 @@ func BenchmarkMigrationExecution(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkIOTranslation measures the per-packet address translation of
-// the chip-boundary migration unit.
-func BenchmarkIOTranslation(b *testing.B) {
-	g := geom.NewGrid(5, 5)
-	io := NewIOTranslator(g)
-	io.Advance(geom.Rotation(5))
-	io.Advance(geom.XYTranslate(5, 5, 1, 1))
-	c := geom.Coord{X: 3, Y: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = io.OutboundSrc(io.InboundDst(c))
-	}
-}

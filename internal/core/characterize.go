@@ -128,7 +128,6 @@ func (s *System) Characterize(scheme Scheme) (*Characterization, error) {
 			next[l] = perm.Dst(blkIdx)
 		}
 		place = next
-		s.IO.Advance(la.Step)
 
 		ch.Legs = append(ch.Legs, la)
 	}
@@ -263,8 +262,8 @@ func blockEnergies(act *power.Activity, e power.Energy, n int) []float64 {
 	return out
 }
 
-// sum adds a slice in index order (the same order Activity.TotalEnergyJ
-// uses, keeping evaluation bitwise identical to the fused path).
+// sum adds a slice in index order, keeping evaluation bitwise identical
+// to the fused path.
 func sum(v []float64) float64 {
 	s := 0.0
 	for _, x := range v {

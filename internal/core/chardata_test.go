@@ -91,13 +91,14 @@ func TestFromDataRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestEvaluateReactiveMatchesFused: splitting reactive evaluation off a
-// shared characterization is bitwise identical to the fused RunReactive,
-// and an EvaluateReactive under a mismatched scheme errors.
+// TestEvaluateReactiveMatchesFused: reactive evaluation off a shared
+// characterization is bitwise identical to a from-scratch evaluation on
+// a fresh system, a repeated evaluation does not drift, and an
+// EvaluateReactive under a mismatched scheme errors.
 func TestEvaluateReactiveMatchesFused(t *testing.T) {
 	cfg := ReactiveConfig{Scheme: XYShift(), TriggerC: 55, SimBlocks: 300, WarmupBlocks: 150}
 
-	fused, err := buildSystem(t, 4).RunReactive(cfg)
+	fused, err := runReactive(buildSystem(t, 4), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestEvaluateReactiveMatchesFused(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(fused, split) {
-		t.Fatalf("split reactive differs from fused: %+v vs %+v",
+		t.Fatalf("shared-characterization reactive differs from from-scratch: %+v vs %+v",
 			split.PeakC, fused.PeakC)
 	}
 	// A second evaluation against the same characterization must not be

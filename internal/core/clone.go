@@ -4,7 +4,7 @@ import "hotnoc/internal/noc"
 
 // Clone returns an independent, ready-to-run copy of the system in its
 // initial (pre-migration) state. The clone gets its own network, engine,
-// migrator and I/O translator — everything a run mutates — while sharing
+// and migrator — everything a run mutates — while sharing
 // the read-only calibration products: the thermal network, energy and
 // leakage tables, code, partition, the engine's static decode tables,
 // placement and block source. Cloning is how a concurrent sweep turns one
@@ -39,7 +39,6 @@ func (s *System) Clone() (*System, error) {
 		Migrator:     mig,
 		InitialPlace: append([]int(nil), s.InitialPlace...),
 		BlockSource:  s.BlockSource,
-		IO:           NewIOTranslator(s.Grid),
 		IdleFrac:     s.IdleFrac,
 	}, nil
 }

@@ -7,23 +7,6 @@ import (
 	"hotnoc/internal/geom"
 )
 
-// The migration unit at the chip boundary keeps reconfiguration invisible:
-// external senders keep using original logical addresses forever.
-func ExampleIOTranslator() {
-	g := geom.NewGrid(4, 4)
-	io := core.NewIOTranslator(g)
-	io.Advance(geom.Rotation(4))
-	io.Advance(geom.Rotation(4))
-
-	logical := geom.Coord{X: 1, Y: 0}
-	phys := io.InboundDst(logical)
-	fmt.Println("deliver to", phys)
-	fmt.Println("replies appear from", io.OutboundSrc(phys))
-	// Output:
-	// deliver to {2,3}
-	// replies appear from {1,0}
-}
-
 // A migration decomposes into congestion-free phases: transfers within a
 // phase share no directed link, so migration time is deterministic.
 func ExamplePlanPhases() {
@@ -39,17 +22,4 @@ func ExamplePlanPhases() {
 	// Output:
 	// phases: 1
 	// transfers: 16
-}
-
-// The bit-accurate hardware unit realises every Table 1 function with
-// W-bit operands; an 8x8 (64-PE) array needs exactly the paper's 3 bits.
-func ExampleHWMigrationUnit() {
-	u, _ := core.NewHWMigrationUnit(8)
-	fmt.Println("operand bits:", u.W)
-	_ = u.Select(core.HWRotate, 0, 0)
-	x, y, _ := u.Translate(1, 0)
-	fmt.Printf("rotate (1,0) -> (%d,%d)\n", x, y)
-	// Output:
-	// operand bits: 3
-	// rotate (1,0) -> (7,1)
 }

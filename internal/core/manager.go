@@ -33,8 +33,6 @@ type System struct {
 	// BlockSource supplies the channel LLRs for the block decoded at each
 	// migration leg; it must be deterministic for reproducibility.
 	BlockSource func(leg int) []ldpc.LLR
-	// IO is the chip-boundary migration unit, advanced at each migration.
-	IO *IOTranslator
 	// IdleFrac is the fraction of a block's active power it keeps burning
 	// while halted during a migration (clock trees and always-on logic;
 	// ~35% of dynamic power at 160 nm). Longer migrations therefore cost
@@ -75,9 +73,6 @@ func (s *System) Validate() error {
 	}
 	if s.BlockSource == nil {
 		return fmt.Errorf("core: nil block source")
-	}
-	if s.IO == nil {
-		return fmt.Errorf("core: nil I/O translator")
 	}
 	if s.IdleFrac < 0 || s.IdleFrac > 1 {
 		return fmt.Errorf("core: IdleFrac %g outside [0,1]", s.IdleFrac)

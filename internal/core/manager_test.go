@@ -89,7 +89,6 @@ func buildSystem(t testing.TB, n int) *System {
 		Migrator:     mig,
 		InitialPlace: pl.Place,
 		BlockSource:  func(leg int) []ldpc.LLR { return llr },
-		IO:           NewIOTranslator(g),
 	}
 }
 
@@ -183,24 +182,6 @@ func TestRunDeterminism(t *testing.T) {
 		a.ThroughputPenalty != b.ThroughputPenalty {
 		t.Fatalf("runs differ: %.6f/%.6f vs %.6f/%.6f",
 			a.MigratedPeakC, a.ThroughputPenalty, b.MigratedPeakC, b.ThroughputPenalty)
-	}
-}
-
-// TestRunIOTransparencyMaintained: after a full run the I/O translator has
-// advanced once per migration and returned to identity (full orbits).
-func TestRunIOTransparencyMaintained(t *testing.T) {
-	sys := buildSystem(t, 4)
-	res, err := sys.Run(RunConfig{Scheme: Rot()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.IO.Migrations() != len(res.Legs) {
-		t.Fatalf("I/O translator saw %d migrations, want %d", sys.IO.Migrations(), len(res.Legs))
-	}
-	for _, c := range sys.Grid.Coords() {
-		if sys.IO.InboundDst(c) != c {
-			t.Fatalf("after a full orbit the I/O map is not identity at %v", c)
-		}
 	}
 }
 

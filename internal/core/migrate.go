@@ -49,8 +49,8 @@ type MigrationStats struct {
 }
 
 // Execute performs the migration described by perm. The caller updates the
-// application placement and I/O translator afterwards; Execute only moves
-// state and accounts for time and energy.
+// application placement afterwards; Execute only moves state and accounts
+// for time and energy.
 func (m *Migrator) Execute(perm geom.Perm) (MigrationStats, error) {
 	if m.StateFlits < 1 {
 		return MigrationStats{}, fmt.Errorf("core: StateFlits %d < 1", m.StateFlits)

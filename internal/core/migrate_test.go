@@ -30,7 +30,7 @@ func TestMigrationExecutes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s on %dx%d: %v", s.Name, n, n, err)
 			}
-			moved := perm.Len() - len(perm.FixedPoints())
+			moved := movedPEs(perm)
 			if stats.Transfers != moved {
 				t.Fatalf("%s on %dx%d: %d transfers, want %d", s.Name, n, n, stats.Transfers, moved)
 			}
@@ -83,7 +83,7 @@ func TestMigrationChargesConversionAtSources(t *testing.T) {
 	if _, err := m.Execute(perm); err != nil {
 		t.Fatal(err)
 	}
-	center, _ := g.Center()
+	center := geom.Coord{X: 2, Y: 2}
 	for i := 0; i < g.N(); i++ {
 		want := uint64(8)
 		if i == g.Index(center) {

@@ -98,11 +98,3 @@ func addLinks(used map[link]struct{}, route []link) {
 		used[l] = struct{}{}
 	}
 }
-
-// PhaseCount is a convenience wrapper returning just the number of phases
-// a scheme's k-th migration needs on grid g — the quantity behind the
-// differing migration durations (and per-phase synchronization energy) of
-// the schemes.
-func PhaseCount(g geom.Grid, tr geom.Transform) int {
-	return len(PlanPhases(g, geom.FromTransform(g, tr)))
-}

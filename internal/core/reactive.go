@@ -99,33 +99,13 @@ type legMeasurement struct {
 	migPower     []float64
 }
 
-// RunReactive evaluates the threshold policy. It is Characterize followed
-// by EvaluateReactive: reactive parameter sweeps (trigger thresholds,
-// sensor quantisation, horizons) should call the stages directly and
-// reuse one characterization, exactly as periodic period/ablation sweeps
-// do.
-func (s *System) RunReactive(cfg ReactiveConfig) (ReactiveResult, error) {
-	if err := s.Validate(); err != nil {
-		return ReactiveResult{}, err
-	}
-	if cfg.Scheme.StepFn == nil {
-		return ReactiveResult{}, fmt.Errorf("core: no migration scheme configured")
-	}
-	ch, err := s.Characterize(cfg.Scheme)
-	if err != nil {
-		return ReactiveResult{}, err
-	}
-	return s.EvaluateReactive(ch, cfg)
-}
-
 // EvaluateReactive runs the threshold policy against an existing
 // characterization: the thermal state is integrated transiently from the
 // static placement's warm steady state, and at every block boundary the
 // quantized sensor peak decides whether the next orbit step executes. No
 // NoC simulation happens here — the orbit's per-leg activity comes from
 // ch, so many reactive evaluations (different triggers, quantisations,
-// horizons) amortise one Characterize. Results are bitwise identical to
-// the fused RunReactive.
+// horizons) amortise one Characterize.
 func (s *System) EvaluateReactive(ch *Characterization, cfg ReactiveConfig) (ReactiveResult, error) {
 	if err := s.Validate(); err != nil {
 		return ReactiveResult{}, err

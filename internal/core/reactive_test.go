@@ -5,11 +5,21 @@ import (
 	"testing"
 )
 
+// runReactive evaluates the threshold policy from scratch: Characterize
+// followed by EvaluateReactive.
+func runReactive(s *System, cfg ReactiveConfig) (ReactiveResult, error) {
+	ch, err := s.Characterize(cfg.Scheme)
+	if err != nil {
+		return ReactiveResult{}, err
+	}
+	return s.EvaluateReactive(ch, cfg)
+}
+
 // TestReactiveHighTriggerNeverMigrates: with an unreachable threshold the
 // chip never reconfigures, pays no penalty, and sits at the static peak.
 func TestReactiveHighTriggerNeverMigrates(t *testing.T) {
 	sys := buildSystem(t, 4)
-	res, err := sys.RunReactive(ReactiveConfig{
+	res, err := runReactive(sys, ReactiveConfig{
 		Scheme: XYShift(), TriggerC: 500, SimBlocks: 400, WarmupBlocks: 200,
 	})
 	if err != nil {
@@ -36,7 +46,7 @@ func TestReactiveHighTriggerNeverMigrates(t *testing.T) {
 func TestReactiveLowTriggerMigratesEveryBlock(t *testing.T) {
 	sys := buildSystem(t, 4)
 	const blocks, warmup = 1600, 1200
-	res, err := sys.RunReactive(ReactiveConfig{
+	res, err := runReactive(sys, ReactiveConfig{
 		Scheme: XYShift(), TriggerC: 41, SimBlocks: blocks, WarmupBlocks: warmup,
 	})
 	if err != nil {
@@ -71,7 +81,7 @@ func TestReactiveTriggerMonotonicity(t *testing.T) {
 	var prevMig = -1
 	var prevPeak = -math.MaxFloat64
 	for i := len(triggers) - 1; i >= 0; i-- { // ascending trigger order
-		res, err := sys.RunReactive(ReactiveConfig{
+		res, err := runReactive(sys, ReactiveConfig{
 			Scheme: XYShift(), TriggerC: triggers[i], SimBlocks: 1200, WarmupBlocks: 800,
 		})
 		if err != nil {
@@ -105,7 +115,7 @@ func TestReactiveCapsTemperature(t *testing.T) {
 	lo, hi := periodic.MigratedPeakC, periodic.BaselinePeakC
 	for _, frac := range []float64{0.1, 0.5, 0.9} {
 		trigger := lo + frac*(hi-lo)
-		res, err := sys.RunReactive(ReactiveConfig{
+		res, err := runReactive(sys, ReactiveConfig{
 			Scheme: XYShift(), TriggerC: trigger, SimBlocks: blocks, WarmupBlocks: warmup,
 			SensorQuantC: 0.05,
 		})
@@ -129,7 +139,7 @@ func TestReactiveCapsTemperature(t *testing.T) {
 func TestReactiveDeterminism(t *testing.T) {
 	run := func() ReactiveResult {
 		sys := buildSystem(t, 4)
-		res, err := sys.RunReactive(ReactiveConfig{
+		res, err := runReactive(sys, ReactiveConfig{
 			Scheme: Rot(), TriggerC: 55, SimBlocks: 400, WarmupBlocks: 200,
 		})
 		if err != nil {
@@ -204,12 +214,12 @@ func TestReactivePeaksEvery(t *testing.T) {
 // TestReactiveValidation covers the error paths.
 func TestReactiveValidation(t *testing.T) {
 	sys := buildSystem(t, 4)
-	if _, err := sys.RunReactive(ReactiveConfig{TriggerC: 60}); err == nil {
+	if _, err := runReactive(sys, ReactiveConfig{TriggerC: 60}); err == nil {
 		t.Fatal("nil scheme accepted")
 	}
 	bad := *sys
 	bad.ClockHz = 0
-	if _, err := bad.RunReactive(ReactiveConfig{Scheme: Rot(), TriggerC: 60}); err == nil {
+	if _, err := runReactive(&bad, ReactiveConfig{Scheme: Rot(), TriggerC: 60}); err == nil {
 		t.Fatal("invalid system accepted")
 	}
 }

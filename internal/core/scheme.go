@@ -48,21 +48,6 @@ func (s Scheme) OrbitLen(g geom.Grid) int {
 		s.Name, 4*g.N(), g.W, g.H))
 }
 
-// Placements returns the cumulative placements the workload visits,
-// starting from (and excluding a return to) the initial one: entry k is
-// the cumulative transform after k migrations, k = 0..OrbitLen-1.
-func (s Scheme) Placements(g geom.Grid) []geom.Transform {
-	n := s.OrbitLen(g)
-	out := make([]geom.Transform, n)
-	cum := geom.Identity()
-	out[0] = cum
-	for k := 1; k < n; k++ {
-		cum = cum.Compose(s.Step(k-1, g))
-		out[k] = cum
-	}
-	return out
-}
-
 // The paper's five schemes.
 
 // Rot rotates the plane 90° every period.

@@ -97,7 +97,7 @@ func TestSchemeByName(t *testing.T) {
 // centre never moves, while shifts move it every period.
 func TestCentralPEFixedOnOddGrids(t *testing.T) {
 	g := geom.NewGrid(5, 5)
-	center, _ := g.Center()
+	center := geom.Coord{X: 2, Y: 2}
 	for _, s := range []Scheme{Rot(), XMirrorScheme(), XYMirrorScheme()} {
 		for _, tr := range s.Placements(g) {
 			if tr.Apply(g, center) != center {
@@ -115,4 +115,19 @@ func TestCentralPEFixedOnOddGrids(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Placements returns the cumulative placements the workload visits,
+// starting from (and excluding a return to) the initial one: entry k is
+// the cumulative transform after k migrations, k = 0..OrbitLen-1.
+func (s Scheme) Placements(g geom.Grid) []geom.Transform {
+	n := s.OrbitLen(g)
+	out := make([]geom.Transform, n)
+	cum := geom.Identity()
+	out[0] = cum
+	for k := 1; k < n; k++ {
+		cum = cum.Compose(s.Step(k-1, g))
+		out[k] = cum
+	}
+	return out
 }

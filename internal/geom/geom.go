@@ -21,9 +21,6 @@ func (c Coord) String() string { return fmt.Sprintf("{%d,%d}", c.X, c.Y) }
 // Add returns the component-wise sum of c and d.
 func (c Coord) Add(d Coord) Coord { return Coord{c.X + d.X, c.Y + d.Y} }
 
-// Sub returns the component-wise difference of c and d.
-func (c Coord) Sub(d Coord) Coord { return Coord{c.X - d.X, c.Y - d.Y} }
-
 // Manhattan returns the Manhattan (hop) distance between c and d, the
 // number of mesh links an XY-routed packet traverses between the two PEs.
 func (c Coord) Manhattan(d Coord) int {
@@ -54,9 +51,6 @@ func NewGrid(w, h int) Grid {
 	}
 	return Grid{W: w, H: h}
 }
-
-// Square reports whether the grid has equal dimensions.
-func (g Grid) Square() bool { return g.W == g.H }
 
 // N returns the number of PEs in the grid.
 func (g Grid) N() int { return g.W * g.H }
@@ -93,34 +87,4 @@ func (g Grid) Coords() []Coord {
 		}
 	}
 	return cs
-}
-
-// Center returns the central coordinate of an odd-by-odd grid and a true
-// flag, or the zero coordinate and false when no single centre exists.
-// The centre PE is thermally significant: the paper observes that rotation
-// and mirroring fix it on odd-dimensioned chips and therefore cannot move
-// heat away from a central hotspot.
-func (g Grid) Center() (Coord, bool) {
-	if g.W%2 == 1 && g.H%2 == 1 {
-		return Coord{X: g.W / 2, Y: g.H / 2}, true
-	}
-	return Coord{}, false
-}
-
-// Neighbors returns the on-grid 4-neighbourhood (mesh links) of c in
-// deterministic east, west, north, south order.
-func (g Grid) Neighbors(c Coord) []Coord {
-	cand := [4]Coord{
-		{c.X + 1, c.Y},
-		{c.X - 1, c.Y},
-		{c.X, c.Y + 1},
-		{c.X, c.Y - 1},
-	}
-	out := make([]Coord, 0, 4)
-	for _, n := range cand {
-		if g.Contains(n) {
-			out = append(out, n)
-		}
-	}
-	return out
 }

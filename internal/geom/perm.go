@@ -5,7 +5,8 @@ import "fmt"
 // Perm is a permutation of the PE set of a grid, stored as a row-major
 // destination table: dst[i] is the new index of the workload currently at
 // index i. Migration schemes induce permutations via FromTransform; the
-// phase planner in the core package consumes their cycle decomposition.
+// phase planner in the core package routes each workload to its
+// destination.
 type Perm struct {
 	grid Grid
 	dst  []int
@@ -27,6 +28,8 @@ func FromTransform(g Grid, t Transform) Perm {
 
 // NewPerm builds a permutation from an explicit destination table.
 // The table is copied. NewPerm returns an error if dst is not a bijection.
+//
+//hotnoc:allow deadexport test fixture: core's PlanPhases property test draws random permutations with it
 func NewPerm(g Grid, dst []int) (Perm, error) {
 	if len(dst) != g.N() {
 		return Perm{}, fmt.Errorf("geom: permutation has %d entries for %d PEs", len(dst), g.N())
@@ -36,15 +39,6 @@ func NewPerm(g Grid, dst []int) (Perm, error) {
 		return Perm{}, err
 	}
 	return p, nil
-}
-
-// IdentityPerm returns the identity permutation on g.
-func IdentityPerm(g Grid) Perm {
-	dst := make([]int, g.N())
-	for i := range dst {
-		dst[i] = i
-	}
-	return Perm{grid: g, dst: dst}
 }
 
 // Validate checks that the destination table is a bijection.
@@ -62,113 +56,18 @@ func (p Perm) Validate() error {
 	return nil
 }
 
-// Grid returns the grid the permutation acts on.
-func (p Perm) Grid() Grid { return p.grid }
-
 // Len returns the number of PEs.
 func (p Perm) Len() int { return len(p.dst) }
 
 // Dst returns the destination index of the workload at index i.
 func (p Perm) Dst(i int) int { return p.dst[i] }
 
-// DstCoord returns the destination coordinate of the workload at c.
-func (p Perm) DstCoord(c Coord) Coord {
-	return p.grid.Coord(p.dst[p.grid.Index(c)])
-}
-
-// IsIdentity reports whether the permutation moves nothing.
-func (p Perm) IsIdentity() bool {
-	for i, d := range p.dst {
-		if i != d {
-			return false
-		}
-	}
-	return true
-}
-
-// FixedPoints returns the coordinates whose workload does not move.
-// For rotation and mirroring on odd-dimensioned grids this includes the
-// centre PE — the reason those schemes cannot relieve central hotspots
-// (configurations C, D, E in the paper).
-func (p Perm) FixedPoints() []Coord {
-	var out []Coord
-	for i, d := range p.dst {
-		if i == d {
-			out = append(out, p.grid.Coord(i))
-		}
-	}
-	return out
-}
-
-// Cycles returns the cycle decomposition of the permutation, excluding
-// fixed points. Each cycle lists PE indices in traversal order: the
-// workload at cycle[k] moves to cycle[k+1] (wrapping). Cycles start at
-// their smallest index and are ordered by that index, so the decomposition
-// is deterministic — a property the paper relies on for real-time
-// guarantees on migration duration.
-func (p Perm) Cycles() [][]int {
-	seen := make([]bool, len(p.dst))
-	var cycles [][]int
-	for start := range p.dst {
-		if seen[start] || p.dst[start] == start {
-			seen[start] = true
-			continue
-		}
-		var cyc []int
-		for i := start; !seen[i]; i = p.dst[i] {
-			seen[i] = true
-			cyc = append(cyc, i)
-		}
-		cycles = append(cycles, cyc)
-	}
-	return cycles
-}
-
-// Orbit returns the forward orbit of index i: i, p(i), p²(i), ... until it
-// returns to i. A fixed point has an orbit of length 1.
-func (p Perm) Orbit(i int) []int {
-	orbit := []int{i}
-	for j := p.dst[i]; j != i; j = p.dst[j] {
-		orbit = append(orbit, j)
-	}
-	return orbit
-}
-
-// Order returns the smallest k >= 1 with p^k = identity (the LCM of the
-// cycle lengths).
-func (p Perm) Order() int {
-	order := 1
-	for _, c := range p.Cycles() {
-		order = lcm(order, len(c))
-	}
-	return order
-}
-
-// Compose returns the permutation "p then q".
-func (p Perm) Compose(q Perm) Perm {
-	if p.grid != q.grid {
-		panic("geom: composing permutations over different grids")
-	}
-	dst := make([]int, len(p.dst))
-	for i := range dst {
-		dst[i] = q.dst[p.dst[i]]
-	}
-	return Perm{grid: p.grid, dst: dst}
-}
-
-// Inverse returns the permutation undoing p.
-func (p Perm) Inverse() Perm {
-	dst := make([]int, len(p.dst))
-	for i, d := range p.dst {
-		dst[d] = i
-	}
-	return Perm{grid: p.grid, dst: dst}
-}
-
 // TotalDistance returns the sum over all PEs of the Manhattan distance each
 // workload travels — the first-order predictor of state-transfer energy for
 // a migration (§2.3: every hop of every state flit costs link plus buffer
 // energy).
+//
+//hotnoc:allow deadexport test metric: geom and core tests pin and compare scheme state-movement distances with it
 func (p Perm) TotalDistance() int {
 	total := 0
 	for i, d := range p.dst {
@@ -176,24 +75,3 @@ func (p Perm) TotalDistance() int {
 	}
 	return total
 }
-
-// MaxDistance returns the longest Manhattan distance any single workload
-// travels under p.
-func (p Perm) MaxDistance() int {
-	max := 0
-	for i, d := range p.dst {
-		if m := p.grid.Coord(i).Manhattan(p.grid.Coord(d)); m > max {
-			max = m
-		}
-	}
-	return max
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-func lcm(a, b int) int { return a / gcd(a, b) * b }

@@ -174,8 +174,8 @@ func TestDstCoordMatchesTransform(t *testing.T) {
 	for _, tr := range schemesFor(4) {
 		p := FromTransform(g, tr)
 		for _, c := range g.Coords() {
-			if p.DstCoord(c) != tr.Apply(g, c) {
-				t.Fatalf("%s: DstCoord(%v) != Apply(%v)", tr.Name, c, c)
+			if p.Dst(g.Index(c)) != g.Index(tr.Apply(g, c)) {
+				t.Fatalf("%s: Dst(%v) != Apply(%v)", tr.Name, c, c)
 			}
 		}
 	}
@@ -190,3 +190,113 @@ func TestMaxDistance(t *testing.T) {
 		t.Errorf("XYMirror 5x5 max distance = %d, want 8", got)
 	}
 }
+
+// IsIdentity reports whether the permutation moves nothing.
+func (p Perm) IsIdentity() bool {
+	for i, d := range p.dst {
+		if i != d {
+			return false
+		}
+	}
+	return true
+}
+
+// FixedPoints returns the coordinates whose workload does not move.
+// For rotation and mirroring on odd-dimensioned grids this includes the
+// centre PE — the reason those schemes cannot relieve central hotspots
+// (configurations C, D, E in the paper).
+func (p Perm) FixedPoints() []Coord {
+	var out []Coord
+	for i, d := range p.dst {
+		if i == d {
+			out = append(out, p.grid.Coord(i))
+		}
+	}
+	return out
+}
+
+// Cycles returns the cycle decomposition of the permutation, excluding
+// fixed points. Each cycle lists PE indices in traversal order: the
+// workload at cycle[k] moves to cycle[k+1] (wrapping). Cycles start at
+// their smallest index and are ordered by that index, so the decomposition
+// is deterministic — a property the paper relies on for real-time
+// guarantees on migration duration.
+func (p Perm) Cycles() [][]int {
+	seen := make([]bool, len(p.dst))
+	var cycles [][]int
+	for start := range p.dst {
+		if seen[start] || p.dst[start] == start {
+			seen[start] = true
+			continue
+		}
+		var cyc []int
+		for i := start; !seen[i]; i = p.dst[i] {
+			seen[i] = true
+			cyc = append(cyc, i)
+		}
+		cycles = append(cycles, cyc)
+	}
+	return cycles
+}
+
+// Orbit returns the forward orbit of index i: i, p(i), p²(i), ... until it
+// returns to i. A fixed point has an orbit of length 1.
+func (p Perm) Orbit(i int) []int {
+	orbit := []int{i}
+	for j := p.dst[i]; j != i; j = p.dst[j] {
+		orbit = append(orbit, j)
+	}
+	return orbit
+}
+
+// Order returns the smallest k >= 1 with p^k = identity (the LCM of the
+// cycle lengths).
+func (p Perm) Order() int {
+	order := 1
+	for _, c := range p.Cycles() {
+		order = lcm(order, len(c))
+	}
+	return order
+}
+
+// Compose returns the permutation "p then q".
+func (p Perm) Compose(q Perm) Perm {
+	if p.grid != q.grid {
+		panic("geom: composing permutations over different grids")
+	}
+	dst := make([]int, len(p.dst))
+	for i := range dst {
+		dst[i] = q.dst[p.dst[i]]
+	}
+	return Perm{grid: p.grid, dst: dst}
+}
+
+// Inverse returns the permutation undoing p.
+func (p Perm) Inverse() Perm {
+	dst := make([]int, len(p.dst))
+	for i, d := range p.dst {
+		dst[d] = i
+	}
+	return Perm{grid: p.grid, dst: dst}
+}
+
+// MaxDistance returns the longest Manhattan distance any single workload
+// travels under p.
+func (p Perm) MaxDistance() int {
+	max := 0
+	for i, d := range p.dst {
+		if m := p.grid.Coord(i).Manhattan(p.grid.Coord(d)); m > max {
+			max = m
+		}
+	}
+	return max
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+func lcm(a, b int) int { return a / gcd(a, b) * b }

@@ -1,6 +1,9 @@
 package geom
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestTable1Rotation checks the paper's rotation function exactly:
 // NewX = N-1-Y, NewY = X (Table 1).
@@ -86,10 +89,7 @@ func TestSchemeOrders(t *testing.T) {
 // the device.
 func TestOddGridFixedCenter(t *testing.T) {
 	g := NewGrid(5, 5)
-	center, ok := g.Center()
-	if !ok {
-		t.Fatal("5x5 grid must have a centre")
-	}
+	center := Coord{X: 2, Y: 2}
 	for _, tr := range []Transform{Rotation(5), XMirror(5), XYMirror(5, 5)} {
 		if got := tr.Apply(g, center); got != center {
 			t.Errorf("%s should fix the centre %v, moved it to %v", tr.Name, center, got)
@@ -157,4 +157,20 @@ func TestXYShiftChangesRows(t *testing.T) {
 			}
 		}
 	}
+}
+
+// OrderOn returns the smallest k >= 1 with t^k = identity on g.
+// Migration schemes revisit the initial placement every OrderOn periods;
+// this is the length of the thermal cycle the runtime manager settles into.
+func (t Transform) OrderOn(g Grid) int {
+	id := Identity()
+	cur := Identity()
+	for k := 1; k <= 4*g.N(); k++ {
+		cur = cur.Compose(t)
+		if cur.EqualOn(g, id) {
+			return k
+		}
+	}
+	panic(fmt.Sprintf("geom: transform %q has order above %d on %dx%d grid",
+		t.Name, 4*g.N(), g.W, g.H))
 }

@@ -69,6 +69,8 @@ func YMirror(h int) Transform {
 // XYMirror returns the composition of X and Y mirroring on a w x h grid —
 // a point reflection through the die centre. This is the paper's
 // "X-Y Mirror" migration scheme.
+//
+//hotnoc:allow deadexport test fixture: geom, core, thermal and appmap tests use the point reflection as an independent reference
 func XYMirror(w, h int) Transform {
 	return Transform{
 		M:    [2][2]int{{-1, 0}, {0, -1}},
@@ -86,16 +88,6 @@ func XTranslate(w, offset int) Transform {
 		B:    [2]int{mod(offset, w), 0},
 		Wrap: true,
 		Name: "Right Shift",
-	}
-}
-
-// YTranslate returns the Y-axis translation by offset on an h-tall grid.
-func YTranslate(h, offset int) Transform {
-	return Transform{
-		M:    [2][2]int{{1, 0}, {0, 1}},
-		B:    [2]int{0, mod(offset, h)},
-		Wrap: true,
-		Name: "Up Shift",
 	}
 }
 
@@ -162,36 +154,6 @@ func (t Transform) Compose(u Transform) Transform {
 	}
 }
 
-// Det returns the determinant of the linear part; valid transforms have ±1.
-func (t Transform) Det() int {
-	return t.M[0][0]*t.M[1][1] - t.M[0][1]*t.M[1][0]
-}
-
-// Inverse returns the transform that undoes t on grid g.
-// The paper's I/O migration unit needs both directions: destination
-// addresses of incoming packets are mapped by the cumulative transform and
-// source addresses of outgoing packets by its inverse, so migration stays
-// transparent to the outside world (§2.3).
-func (t Transform) Inverse(g Grid) Transform {
-	d := t.Det()
-	if d != 1 && d != -1 {
-		panic(fmt.Sprintf("geom: transform %q is singular (det %d)", t.Name, d))
-	}
-	// inv(M) = adj(M)/det; with det ±1 this stays integral.
-	inv := [2][2]int{
-		{t.M[1][1] / d, -t.M[0][1] / d},
-		{-t.M[1][0] / d, t.M[0][0] / d},
-	}
-	b := [2]int{
-		-(inv[0][0]*t.B[0] + inv[0][1]*t.B[1]),
-		-(inv[1][0]*t.B[0] + inv[1][1]*t.B[1]),
-	}
-	if t.Wrap {
-		b[0], b[1] = mod(b[0], g.W), mod(b[1], g.H)
-	}
-	return Transform{M: inv, B: b, Wrap: t.Wrap, Name: t.Name + "⁻¹"}
-}
-
 // EqualOn reports whether t and u act identically on every cell of g.
 // Transforms with different internal representations (e.g. a wrapped
 // translation by 0 and the identity) compare equal when their actions agree.
@@ -202,35 +164,6 @@ func (t Transform) EqualOn(g Grid, u Transform) bool {
 		}
 	}
 	return true
-}
-
-// Pow returns t applied k times (k >= 0) as a single transform.
-func (t Transform) Pow(k int) Transform {
-	if k < 0 {
-		panic("geom: negative transform power")
-	}
-	out := Identity()
-	for i := 0; i < k; i++ {
-		out = out.Compose(t)
-	}
-	out.Name = fmt.Sprintf("%s^%d", t.Name, k)
-	return out
-}
-
-// OrderOn returns the smallest k >= 1 with t^k = identity on g.
-// Migration schemes revisit the initial placement every OrderOn periods;
-// this is the length of the thermal cycle the runtime manager settles into.
-func (t Transform) OrderOn(g Grid) int {
-	id := Identity()
-	cur := Identity()
-	for k := 1; k <= 4*g.N(); k++ {
-		cur = cur.Compose(t)
-		if cur.EqualOn(g, id) {
-			return k
-		}
-	}
-	panic(fmt.Sprintf("geom: transform %q has order above %d on %dx%d grid",
-		t.Name, 4*g.N(), g.W, g.H))
 }
 
 // String returns a readable description of the transform.

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -41,9 +42,7 @@ func TestTransformBijective(t *testing.T) {
 }
 
 // TestInverseRoundTrip property-checks Inverse: applying a scheme and then
-// its inverse returns every coordinate to where it started. This is the
-// correctness condition for outgoing-packet source translation in the I/O
-// migration unit.
+// its inverse returns every coordinate to where it started.
 func TestInverseRoundTrip(t *testing.T) {
 	f := func(nRaw uint8, xRaw, yRaw uint16) bool {
 		n := 2 + int(nRaw%7)
@@ -212,4 +211,62 @@ func TestNeighbors(t *testing.T) {
 			t.Errorf("Neighbors(%v) = %d, want %d", c.c, got, c.n)
 		}
 	}
+}
+
+// Neighbors returns the on-grid 4-neighbourhood (mesh links) of c in
+// deterministic east, west, north, south order.
+func (g Grid) Neighbors(c Coord) []Coord {
+	cand := [4]Coord{
+		{c.X + 1, c.Y},
+		{c.X - 1, c.Y},
+		{c.X, c.Y + 1},
+		{c.X, c.Y - 1},
+	}
+	out := make([]Coord, 0, 4)
+	for _, n := range cand {
+		if g.Contains(n) {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// Det returns the determinant of the linear part; valid transforms have ±1.
+func (t Transform) Det() int {
+	return t.M[0][0]*t.M[1][1] - t.M[0][1]*t.M[1][0]
+}
+
+// Inverse returns the transform that undoes t on grid g: the witness
+// that every scheme step is a bijection of the PE set.
+func (t Transform) Inverse(g Grid) Transform {
+	d := t.Det()
+	if d != 1 && d != -1 {
+		panic(fmt.Sprintf("geom: transform %q is singular (det %d)", t.Name, d))
+	}
+	// inv(M) = adj(M)/det; with det ±1 this stays integral.
+	inv := [2][2]int{
+		{t.M[1][1] / d, -t.M[0][1] / d},
+		{-t.M[1][0] / d, t.M[0][0] / d},
+	}
+	b := [2]int{
+		-(inv[0][0]*t.B[0] + inv[0][1]*t.B[1]),
+		-(inv[1][0]*t.B[0] + inv[1][1]*t.B[1]),
+	}
+	if t.Wrap {
+		b[0], b[1] = mod(b[0], g.W), mod(b[1], g.H)
+	}
+	return Transform{M: inv, B: b, Wrap: t.Wrap, Name: t.Name + "⁻¹"}
+}
+
+// Pow returns t applied k times (k >= 0) as a single transform.
+func (t Transform) Pow(k int) Transform {
+	if k < 0 {
+		panic("geom: negative transform power")
+	}
+	out := Identity()
+	for i := 0; i < k; i++ {
+		out = out.Compose(t)
+	}
+	out.Name = fmt.Sprintf("%s^%d", t.Name, k)
+	return out
 }

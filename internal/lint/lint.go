@@ -2,8 +2,9 @@
 // framework plus the analyzers that machine-enforce the invariants the
 // codebase otherwise carries only in comments and runtime spot-checks —
 // the collector lock-ordering rule, the 0 allocs/op hot-loop contracts,
-// the bitwise-deterministic sweep ordering, and the never-cache-an-error
-// rule. cmd/hotnoclint runs every analyzer over ./... in CI.
+// the bitwise-deterministic sweep ordering, the never-cache-an-error
+// rule, and no exported internal identifier without a non-test use
+// (deadexport). cmd/hotnoclint runs every analyzer over ./... in CI.
 //
 // The framework is dependency-free on purpose: it loads packages with
 // `go list -json` + go/parser + go/types instead of golang.org/x/tools,
@@ -34,7 +35,8 @@ import (
 
 // Analyzer is one named check. Run is invoked once per package, in
 // dependency order, sharing one fact store across the whole run so
-// summaries propagate across package boundaries.
+// summaries propagate across package boundaries; Pass.All gives
+// whole-program checks (deadexport) every loaded package.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -48,6 +50,9 @@ type Diagnostic struct {
 	Message  string
 }
 
+// String renders the finding as file:line:col: analyzer: message.
+//
+//hotnoc:allow deadexport fmt.Stringer, reached through fmt.Println in cmd/hotnoclint
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
 }
@@ -67,6 +72,7 @@ type Package struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
+	All      []*Package // every package in this run, in dependency order
 
 	facts   map[types.Object]any
 	diags   *[]Diagnostic
@@ -116,6 +122,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			pass := &Pass{
 				Analyzer: a,
 				Pkg:      pkg,
+				All:      pkgs,
 				facts:    facts,
 				diags:    &diags,
 				allowed:  allowedLines(pkg, a.Name),
@@ -236,5 +243,5 @@ func isMapType(t types.Type) bool {
 // All returns every analyzer in the suite, in stable order. cmd/hotnoclint
 // registers exactly this set; the meta-test pins the correspondence.
 func All() []*Analyzer {
-	return []*Analyzer{LockOrder, NoAlloc, Determinism, ErrCache}
+	return []*Analyzer{LockOrder, NoAlloc, Determinism, ErrCache, DeadExport}
 }

@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"path/filepath"
 	"testing"
 
 	"hotnoc/internal/lint"
@@ -12,6 +13,31 @@ func TestNoAlloc(t *testing.T)     { linttest.Run(t, lint.NoAlloc, "noalloc") }
 func TestDeterminism(t *testing.T) { linttest.Run(t, lint.Determinism, "determinism") }
 func TestErrCache(t *testing.T)    { linttest.Run(t, lint.ErrCache, "errcache") }
 
+// TestDeadExport loads the whole fixture module: its root, the
+// internal/lib it judges, and cmd/tool.
+func TestDeadExport(t *testing.T) {
+	linttest.Run(t, lint.DeadExport, "deadexport", "deadexport/cmd/tool")
+}
+
+// TestDeadExportPartialLoad: without cmd/tool the load is not the whole
+// module, so the analyzer cannot tell dead from used-elsewhere and must
+// stay silent, even about the identifiers the full load flags.
+func TestDeadExportPartialLoad(t *testing.T) {
+	for _, pkgs := range [][]string{{"deadexport"}, {"deadexport/internal/lib"}} {
+		loaded, err := lint.LoadFixture(filepath.Join("testdata", "src"), pkgs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diags, err := lint.Run(loaded, []*lint.Analyzer{lint.DeadExport})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range diags {
+			t.Errorf("partial load %v reported %s", pkgs, d)
+		}
+	}
+}
+
 // TestAllRegistersEveryAnalyzer pins the suite's surface: every
 // analyzer declared in the package is in All(), under its own name,
 // exactly once. cmd/hotnoclint registers All(), so this is half of the
@@ -22,6 +48,7 @@ func TestAllRegistersEveryAnalyzer(t *testing.T) {
 		"noalloc":     lint.NoAlloc,
 		"determinism": lint.Determinism,
 		"errcache":    lint.ErrCache,
+		"deadexport":  lint.DeadExport,
 	}
 	got := lint.All()
 	if len(got) != len(want) {

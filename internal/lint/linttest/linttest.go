@@ -29,6 +29,8 @@ type want struct {
 // Run loads the named fixture packages from testdata/src, applies the
 // analyzer, and checks the findings against the fixtures' want
 // comments.
+//
+//hotnoc:allow deadexport fixture harness: internal/lint's tests call it, and a _test.go helper cannot be imported
 func Run(t *testing.T, a *lint.Analyzer, pkgs ...string) {
 	t.Helper()
 	srcRoot := filepath.Join("testdata", "src")

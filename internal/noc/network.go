@@ -337,13 +337,3 @@ func (n *Network) ResetStats() {
 	n.Stats = Stats{}
 	n.Act.Reset()
 }
-
-// QueuedFlits returns the number of flits waiting in NI injection queues,
-// a congestion diagnostic for the migration planner tests.
-func (n *Network) QueuedFlits() int {
-	total := 0
-	for i := range n.nis {
-		total += n.nis[i].flits
-	}
-	return total
-}

@@ -56,6 +56,9 @@ const (
 
 var dirNames = [numDirs]string{"Local", "North", "East", "South", "West"}
 
+// String names the port.
+//
+//hotnoc:allow deadexport fmt.Stringer, reached through fmt verbs in test failure messages
 func (d Dir) String() string {
 	if d < 0 || d >= numDirs {
 		return fmt.Sprintf("Dir(%d)", int(d))
@@ -63,23 +66,8 @@ func (d Dir) String() string {
 	return dirNames[d]
 }
 
-// Opposite returns the port on the neighbouring router that faces d.
-func (d Dir) Opposite() Dir {
-	switch d {
-	case North:
-		return South
-	case South:
-		return North
-	case East:
-		return West
-	case West:
-		return East
-	default:
-		return Local
-	}
-}
-
-// opposite tabulates Opposite for the link phase.
+// opposite maps each port to the port facing it on the neighbouring
+// router, for the link phase.
 var opposite = [numDirs]Dir{Local, South, West, North, East}
 
 // offset returns the coordinate delta of one hop in direction d.

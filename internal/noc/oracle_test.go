@@ -449,3 +449,19 @@ func TestRunIdleEqualsSteps(t *testing.T) {
 		}
 	}
 }
+
+// Opposite returns the port on the neighbouring router that faces d.
+func (d Dir) Opposite() Dir {
+	switch d {
+	case North:
+		return South
+	case South:
+		return North
+	case East:
+		return West
+	case West:
+		return East
+	default:
+		return Local
+	}
+}

@@ -27,7 +27,7 @@ func UniformRandom(r *rand.Rand, g geom.Grid, src geom.Coord) (geom.Coord, bool)
 // Transpose sends (x,y) -> (y,x); diagonal nodes stay silent. On a square
 // mesh this is the classic adversarial pattern for XY routing.
 func Transpose(_ *rand.Rand, g geom.Grid, src geom.Coord) (geom.Coord, bool) {
-	if !g.Square() || src.X == src.Y {
+	if g.W != g.H || src.X == src.Y {
 		return geom.Coord{}, false
 	}
 	return geom.Coord{X: src.Y, Y: src.X}, true

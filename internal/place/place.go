@@ -35,6 +35,8 @@ var annealRuns atomic.Uint64
 // AnnealCount reports how many annealing searches this process has run
 // (each restart of a multi-restart Anneal counts once). A build
 // reconstituted from a persisted snapshot performs none.
+//
+//hotnoc:allow deadexport test probe: tests in hotnoc, place, sim and chipcfg and BenchmarkBuildWarm read it
 func AnnealCount() uint64 { return annealRuns.Load() }
 
 // Problem describes one placement instance over a grid of PEs.

@@ -52,23 +52,6 @@ func Default160nm() Energy {
 	}
 }
 
-// Validate reports the first non-positive entry.
-func (e Energy) Validate() error {
-	entries := []struct {
-		name string
-		v    float64
-	}{
-		{"BufWriteJ", e.BufWriteJ}, {"BufReadJ", e.BufReadJ}, {"XbarJ", e.XbarJ},
-		{"ArbJ", e.ArbJ}, {"LinkJ", e.LinkJ}, {"PEOpJ", e.PEOpJ}, {"ConvJ", e.ConvJ},
-	}
-	for _, en := range entries {
-		if en.v <= 0 {
-			return fmt.Errorf("power: energy entry %s must be positive, got %g", en.name, en.v)
-		}
-	}
-	return nil
-}
-
 // Scale returns the table with every entry multiplied by f — the
 // calibration knob that maps activity onto the paper's base temperatures.
 func (e Energy) Scale(f float64) Energy {
@@ -121,26 +104,6 @@ func (a *Activity) Reset() {
 	}
 }
 
-// AddFrom accumulates another activity record (e.g. migration traffic on
-// top of workload traffic). The two records must cover the same blocks.
-func (a *Activity) AddFrom(b *Activity) {
-	if a.N() != b.N() {
-		panic(fmt.Sprintf("power: adding activity over %d blocks to %d", b.N(), a.N()))
-	}
-	for k, s := range a.slices() {
-		for i, v := range b.slices()[k] {
-			s[i] += v
-		}
-	}
-}
-
-// Clone returns a deep copy.
-func (a *Activity) Clone() *Activity {
-	c := NewActivity(a.N())
-	c.AddFrom(a)
-	return c
-}
-
 func (a *Activity) slices() [][]uint64 {
 	return [][]uint64{a.BufWrites, a.BufReads, a.Xbar, a.Arb, a.Link, a.PEOps, a.ConvWords}
 }
@@ -154,15 +117,6 @@ func (a *Activity) BlockEnergyJ(e Energy, i int) float64 {
 		float64(a.Link[i])*e.LinkJ +
 		float64(a.PEOps[i])*e.PEOpJ +
 		float64(a.ConvWords[i])*e.ConvJ
-}
-
-// TotalEnergyJ returns the chip-wide dynamic energy of the window.
-func (a *Activity) TotalEnergyJ(e Energy) float64 {
-	s := 0.0
-	for i := 0; i < a.N(); i++ {
-		s += a.BlockEnergyJ(e, i)
-	}
-	return s
 }
 
 // PowerMap converts the window's activity into per-block average power
@@ -226,18 +180,10 @@ func Total(m []float64) float64 {
 	return s
 }
 
-// Permute returns the power map re-indexed so that entry dst[i] receives
-// m[i] — the power map seen by the chip after the workload at block i
-// migrates to block dst[i].
-func Permute(m []float64, dst []int) []float64 {
-	out := make([]float64, len(m))
-	PermuteInto(out, m, dst)
-	return out
-}
-
-// PermuteInto is Permute without the allocation: out[dst[i]] = m[i]. dst
-// must be a bijection onto out's indices (it always is for a placement),
-// so every entry of out is written.
+// PermuteInto re-indexes a power map into out: out[dst[i]] = m[i], the
+// power map seen by the chip after the workload at block i migrates to
+// block dst[i]. dst must be a bijection onto out's indices (it always is
+// for a placement), so every entry of out is written.
 //
 //hotnoc:noalloc
 func PermuteInto(out, m []float64, dst []int) {

@@ -1,6 +1,7 @@
 package power
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -178,4 +179,59 @@ func TestPermuteSizeMismatchPanics(t *testing.T) {
 		}
 	}()
 	Permute([]float64{1, 2}, []int{0})
+}
+
+// Validate reports the first non-positive entry.
+func (e Energy) Validate() error {
+	entries := []struct {
+		name string
+		v    float64
+	}{
+		{"BufWriteJ", e.BufWriteJ}, {"BufReadJ", e.BufReadJ}, {"XbarJ", e.XbarJ},
+		{"ArbJ", e.ArbJ}, {"LinkJ", e.LinkJ}, {"PEOpJ", e.PEOpJ}, {"ConvJ", e.ConvJ},
+	}
+	for _, en := range entries {
+		if en.v <= 0 {
+			return fmt.Errorf("power: energy entry %s must be positive, got %g", en.name, en.v)
+		}
+	}
+	return nil
+}
+
+// Clone returns a deep copy.
+func (a *Activity) Clone() *Activity {
+	c := NewActivity(a.N())
+	c.AddFrom(a)
+	return c
+}
+
+// TotalEnergyJ returns the chip-wide dynamic energy of the window.
+func (a *Activity) TotalEnergyJ(e Energy) float64 {
+	s := 0.0
+	for i := 0; i < a.N(); i++ {
+		s += a.BlockEnergyJ(e, i)
+	}
+	return s
+}
+
+// Permute returns the power map re-indexed so that entry dst[i] receives
+// m[i] — the power map seen by the chip after the workload at block i
+// migrates to block dst[i].
+func Permute(m []float64, dst []int) []float64 {
+	out := make([]float64, len(m))
+	PermuteInto(out, m, dst)
+	return out
+}
+
+// AddFrom accumulates another activity record (e.g. migration traffic on
+// top of workload traffic). The two records must cover the same blocks.
+func (a *Activity) AddFrom(b *Activity) {
+	if a.N() != b.N() {
+		panic(fmt.Sprintf("power: adding activity over %d blocks to %d", b.N(), a.N()))
+	}
+	for k, s := range a.slices() {
+		for i, v := range b.slices()[k] {
+			s[i] += v
+		}
+	}
 }

@@ -60,6 +60,8 @@ type Event struct {
 }
 
 // String renders the event as a one-line log entry.
+//
+//hotnoc:allow deadexport fmt.Stringer, reached through fmt.Fprintln in the CLIs' -progress logs
 func (e Event) String() string {
 	switch e.Stage {
 	case StageBuildStart:

@@ -411,26 +411,6 @@ func (r *Runner) Built(config string) (*chipcfg.Built, error) {
 	return r.builtFor(config, r.emitter(nil))
 }
 
-// Characterization returns the (configuration, scheme) orbit
-// characterization and its calibrated build, serving from the cross-run
-// cache when possible. Callers evaluate the result on their own System
-// clone; a Characterization must not be shared across goroutines, but
-// each call returns an independent view of the shared immutable data.
-func (r *Runner) Characterization(config string, scheme core.Scheme) (*core.Characterization, *chipcfg.Built, error) {
-	if scheme.StepFn == nil {
-		return nil, nil, fmt.Errorf("sim: scheme %q has no step function", scheme.Name)
-	}
-	data, built, err := r.charFor(config, scheme, r.emitter(nil), nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	ch, err := core.FromData(scheme, data)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ch, built, nil
-}
-
 // ValidatePoints fails fast on malformed grids — unknown configuration
 // names, schemes without step functions, negative periods, malformed
 // reactive parameters — before any build or worker starts, naming the

@@ -404,7 +404,3 @@ func (f *BandedLU) SolveBatch(dst, rhs []float64, ncols int) {
 	}
 	copy(dst[f.border*ncols:(f.border+1)*ncols], s)
 }
-
-// Bandwidth reports the detected half bandwidth of the banded block, a
-// diagnostic for ordering regressions (≈2·gridwidth for a mesh).
-func (f *BandedLU) Bandwidth() int { return f.k }

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -417,3 +418,51 @@ func TestBandedMatchesDenseInfluence(t *testing.T) {
 		}
 	}
 }
+
+// SolveBatch solves a whole chunk of power maps against the one cached
+// factorisation with a single batched sweep, returning one die-temperature
+// slice per map. Each result is bitwise identical to a Solve of the same
+// map, so batching is a pure throughput lever for chunked steady-state
+// work (influence-matrix assembly, warm-start chunks, sweep pre-passes).
+func (s *SteadySolver) SolveBatch(blockPowers [][]float64) [][]float64 {
+	m := len(blockPowers)
+	if m == 0 {
+		return nil
+	}
+	n := s.nw.NDie
+	nn := s.nw.NNodes
+	if cap(s.bp) < nn*m {
+		s.bp = make([]float64, nn*m)
+	}
+	rhs := s.bp[:nn*m]
+	for i := 0; i < nn; i++ {
+		bi := s.nw.B[i]
+		row := rhs[i*m : (i+1)*m]
+		for c, p := range blockPowers {
+			if len(p) != n {
+				panic(fmt.Sprintf("thermal: power map %d has %d entries for %d blocks", c, len(p), n))
+			}
+			if i < n {
+				row[c] = p[i] + bi
+			} else {
+				row[c] = bi
+			}
+		}
+	}
+	s.f.SolveBatch(rhs, rhs, m)
+	out := make([][]float64, m)
+	for c := range out {
+		out[c] = make([]float64, n)
+	}
+	for i := 0; i < n; i++ {
+		row := rhs[i*m : (i+1)*m]
+		for c := range out {
+			out[c][i] = row[c]
+		}
+	}
+	return out
+}
+
+// Bandwidth reports the detected half bandwidth of the banded block, a
+// diagnostic for ordering regressions (≈2·gridwidth for a mesh).
+func (f *BandedLU) Bandwidth() int { return f.k }

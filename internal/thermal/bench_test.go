@@ -157,7 +157,7 @@ func BenchmarkTransientStep(b *testing.B) {
 	}
 }
 
-// BenchmarkCycleLoopStep measures one iteration of runCycle's inner loop
+// BenchmarkCycleLoopStep measures one iteration of RunCycle's inner loop
 // with the leakage closure engaged — die extraction, leakage map, power
 // assembly, banded step; 0 allocs/op is pinned by the alloc guard.
 func BenchmarkCycleLoopStep(b *testing.B) {

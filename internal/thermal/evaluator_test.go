@@ -96,3 +96,6 @@ func TestEvaluatorCachesFactorizations(t *testing.T) {
 		t.Error("accessors broken")
 	}
 }
+
+// Network returns the network the evaluator was built over.
+func (ev *Evaluator) Network() *Network { return ev.nw }

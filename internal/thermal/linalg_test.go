@@ -126,3 +126,18 @@ func TestMulVecDimensionPanics(t *testing.T) {
 	}()
 	NewDense(3).MulVec(make([]float64, 2), make([]float64, 3))
 }
+
+// MulVec computes dst = M · x. dst and x must not alias.
+func (m *Dense) MulVec(dst, x []float64) {
+	if len(dst) != m.N || len(x) != m.N {
+		panic("thermal: MulVec dimension mismatch")
+	}
+	for i := 0; i < m.N; i++ {
+		s := 0.0
+		row := m.A[i*m.N : (i+1)*m.N]
+		for j, a := range row {
+			s += a * x[j]
+		}
+		dst[i] = s
+	}
+}

@@ -252,15 +252,8 @@ func (nw *Network) powerVector(dst, blockPower []float64) {
 	copy(dst, blockPower)
 }
 
-// DieTemps extracts the die-layer slice of a full node temperature vector.
-func (nw *Network) DieTemps(full []float64) []float64 {
-	out := make([]float64, nw.NDie)
-	nw.DieTempsInto(out, full)
-	return out
-}
-
-// DieTempsInto is DieTemps without the allocation: it writes the die-layer
-// temperatures into dst, which must have NDie entries.
+// DieTempsInto writes the die-layer slice of a full node temperature
+// vector into dst, which must have NDie entries, without allocating.
 //
 //hotnoc:noalloc
 func (nw *Network) DieTempsInto(dst, full []float64) {

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -102,7 +103,7 @@ func TestCenterHotterThanCorner(t *testing.T) {
 	}
 	die := s.Solve(power)
 	g := nw.FP.Grid
-	center, _ := g.Center()
+	center := geom.Coord{X: 2, Y: 2}
 	tCenter := die[g.Index(center)]
 	tCorner := die[g.Index(geom.Coord{X: 0, Y: 0})]
 	if tCenter <= tCorner {
@@ -257,4 +258,33 @@ func TestPeakAndMean(t *testing.T) {
 	if m := Mean(die); math.Abs(m-43.25) > 1e-12 {
 		t.Fatalf("Mean = %g, want 43.25", m)
 	}
+}
+
+// SolveFull returns the full node temperature vector, including spreader
+// and sink nodes, for diagnostics.
+func (s *SteadySolver) SolveFull(blockPower []float64) []float64 {
+	out := make([]float64, s.nw.NNodes)
+	s.SolveFullInto(out, blockPower)
+	return out
+}
+
+// Temps returns die temperatures for a power map via the influence matrix.
+func (inf *Influence) Temps(blockPower []float64) []float64 {
+	if len(blockPower) != inf.N {
+		panic(fmt.Sprintf("thermal: power map has %d entries for %d blocks",
+			len(blockPower), inf.N))
+	}
+	out := make([]float64, inf.N)
+	inf.A.MulVec(out, blockPower)
+	for i := range out {
+		out[i] += inf.Ambient
+	}
+	return out
+}
+
+// DieTemps extracts the die-layer slice of a full node temperature vector.
+func (nw *Network) DieTemps(full []float64) []float64 {
+	out := make([]float64, nw.NDie)
+	nw.DieTempsInto(out, full)
+	return out
 }

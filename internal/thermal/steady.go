@@ -14,7 +14,7 @@ type SteadySolver struct {
 	// scratch buffers to keep the Into variants allocation-free.
 	p []float64
 	t []float64
-	// batch scratch, grown on demand by SolveBatch.
+	// batch scratch for the tests' SolveBatch, grown on demand.
 	bp []float64
 }
 
@@ -54,14 +54,6 @@ func (s *SteadySolver) SolveInto(dst, blockPower []float64) {
 	copy(dst, s.t[:s.nw.NDie])
 }
 
-// SolveFull returns the full node temperature vector, including spreader
-// and sink nodes, for diagnostics.
-func (s *SteadySolver) SolveFull(blockPower []float64) []float64 {
-	out := make([]float64, s.nw.NNodes)
-	s.SolveFullInto(out, blockPower)
-	return out
-}
-
 // SolveFullInto writes the full node temperature vector into dst (NNodes
 // entries) without allocating.
 //
@@ -81,50 +73,6 @@ func (s *SteadySolver) solveNodes(blockPower []float64) {
 		s.p[i] += s.nw.B[i]
 	}
 	s.f.Solve(s.t, s.p)
-}
-
-// SolveBatch solves a whole chunk of power maps against the one cached
-// factorisation with a single batched sweep, returning one die-temperature
-// slice per map. Each result is bitwise identical to a Solve of the same
-// map, so batching is a pure throughput lever for chunked steady-state
-// work (influence-matrix assembly, warm-start chunks, sweep pre-passes).
-func (s *SteadySolver) SolveBatch(blockPowers [][]float64) [][]float64 {
-	m := len(blockPowers)
-	if m == 0 {
-		return nil
-	}
-	n := s.nw.NDie
-	nn := s.nw.NNodes
-	if cap(s.bp) < nn*m {
-		s.bp = make([]float64, nn*m)
-	}
-	rhs := s.bp[:nn*m]
-	for i := 0; i < nn; i++ {
-		bi := s.nw.B[i]
-		row := rhs[i*m : (i+1)*m]
-		for c, p := range blockPowers {
-			if len(p) != n {
-				panic(fmt.Sprintf("thermal: power map %d has %d entries for %d blocks", c, len(p), n))
-			}
-			if i < n {
-				row[c] = p[i] + bi
-			} else {
-				row[c] = bi
-			}
-		}
-	}
-	s.f.SolveBatch(rhs, rhs, m)
-	out := make([][]float64, m)
-	for c := range out {
-		out[c] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		row := rhs[i*m : (i+1)*m]
-		for c := range out {
-			out[c][i] = row[c]
-		}
-	}
-	return out
 }
 
 // Influence is the precomputed linear thermal operator of a network:
@@ -173,20 +121,6 @@ func NewInfluence(nw *Network) (*Influence, error) {
 		}
 	}
 	return inf, nil
-}
-
-// Temps returns die temperatures for a power map via the influence matrix.
-func (inf *Influence) Temps(blockPower []float64) []float64 {
-	if len(blockPower) != inf.N {
-		panic(fmt.Sprintf("thermal: power map has %d entries for %d blocks",
-			len(blockPower), inf.N))
-	}
-	out := make([]float64, inf.N)
-	inf.A.MulVec(out, blockPower)
-	for i := range out {
-		out[i] += inf.Ambient
-	}
-	return out
 }
 
 // PeakTemp returns only the hottest block's temperature for a power map;

@@ -28,16 +28,6 @@ type Transient struct {
 	pv  []float64
 }
 
-// NewTransient creates an integrator with step dt (seconds), starting from
-// a uniform ambient-temperature state.
-func NewTransient(nw *Network, dt float64) (*Transient, error) {
-	f, err := factorStep(nw, dt)
-	if err != nil {
-		return nil, err
-	}
-	return newTransient(nw, dt, f), nil
-}
-
 // factorStep factorises the backward-Euler iteration matrix C/dt + G for
 // step size dt. Adding C/dt to the diagonal preserves symmetry, diagonal
 // dominance, and the band pattern, so the banded factorisation applies
@@ -87,12 +77,6 @@ func (tr *Transient) SetState(full []float64, time float64) {
 	tr.Time = time
 }
 
-// State returns a copy of the full node temperature vector.
-func (tr *Transient) State() []float64 { return append([]float64(nil), tr.T...) }
-
-// Dt returns the integrator step size.
-func (tr *Transient) Dt() float64 { return tr.dt }
-
 // Step advances one dt with the given per-block die power map (watts).
 //
 //hotnoc:noalloc
@@ -104,21 +88,6 @@ func (tr *Transient) Step(blockPower []float64) {
 	tr.f.Solve(tr.T, tr.rhs)
 	tr.Time += tr.dt
 }
-
-// StepFor integrates the given power map for a duration, rounding the
-// number of steps to the nearest whole step (minimum one).
-func (tr *Transient) StepFor(blockPower []float64, duration float64) {
-	steps := int(math.Round(duration / tr.dt))
-	if steps < 1 {
-		steps = 1
-	}
-	for s := 0; s < steps; s++ {
-		tr.Step(blockPower)
-	}
-}
-
-// Die returns a copy of the current die-layer temperatures.
-func (tr *Transient) Die() []float64 { return tr.nw.DieTemps(tr.T) }
 
 // DieInto writes the current die-layer temperatures into dst without
 // allocating; dst must have NDie entries.
@@ -188,21 +157,9 @@ func (o *CycleOptions) setDefaults() {
 // RunCycle integrates the repeating schedule until the temperature state at
 // the start of consecutive repetitions converges (the quasi-steady thermal
 // cycle of a periodic migration), then records peak and mean statistics
-// over one further repetition.
-//
-// RunCycle factorises the thermal system on every call; evaluation loops
-// should hold an Evaluator instead, which caches the factorisations.
-func RunCycle(nw *Network, entries []ScheduleEntry, opts CycleOptions) (CycleResult, error) {
-	ev, err := NewEvaluator(nw)
-	if err != nil {
-		return CycleResult{}, err
-	}
-	return ev.RunCycle(entries, opts)
-}
-
-// runCycle is the shared implementation behind RunCycle and
-// Evaluator.RunCycle.
-func (ev *Evaluator) runCycle(entries []ScheduleEntry, opts CycleOptions) (CycleResult, error) {
+// over one further repetition. The thermal factorisations come from the
+// evaluator's cache.
+func (ev *Evaluator) RunCycle(entries []ScheduleEntry, opts CycleOptions) (CycleResult, error) {
 	nw := ev.nw
 	opts.setDefaults()
 	if len(entries) == 0 {

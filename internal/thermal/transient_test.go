@@ -256,3 +256,41 @@ func TestStateRoundTrip(t *testing.T) {
 		t.Fatalf("branched integration diverged by %g", d)
 	}
 }
+
+// NewTransient creates an integrator with step dt (seconds), starting from
+// a uniform ambient-temperature state.
+func NewTransient(nw *Network, dt float64) (*Transient, error) {
+	f, err := factorStep(nw, dt)
+	if err != nil {
+		return nil, err
+	}
+	return newTransient(nw, dt, f), nil
+}
+
+// State returns a copy of the full node temperature vector.
+func (tr *Transient) State() []float64 { return append([]float64(nil), tr.T...) }
+
+// StepFor integrates the given power map for a duration, rounding the
+// number of steps to the nearest whole step (minimum one).
+func (tr *Transient) StepFor(blockPower []float64, duration float64) {
+	steps := int(math.Round(duration / tr.dt))
+	if steps < 1 {
+		steps = 1
+	}
+	for s := 0; s < steps; s++ {
+		tr.Step(blockPower)
+	}
+}
+
+// Die returns a copy of the current die-layer temperatures.
+func (tr *Transient) Die() []float64 { return tr.nw.DieTemps(tr.T) }
+
+// RunCycle is Evaluator.RunCycle on a fresh evaluator: it factorises the
+// thermal system on every call.
+func RunCycle(nw *Network, entries []ScheduleEntry, opts CycleOptions) (CycleResult, error) {
+	ev, err := NewEvaluator(nw)
+	if err != nil {
+		return CycleResult{}, err
+	}
+	return ev.RunCycle(entries, opts)
+}

@@ -246,7 +246,7 @@ func (l *Lab) MigrationEnergy(ctx context.Context, config string) ([]EnergyStudy
 // cross-run cache when available), exactly as periodic period sweeps do,
 // and the transient thermal evaluations run concurrently on independent
 // System clones. Results are returned in input order and are bitwise
-// identical to the fused System.RunReactive.
+// identical to System.Characterize followed by EvaluateReactive.
 func (l *Lab) Reactive(ctx context.Context, config string, cfgs []ReactiveConfig) ([]ReactiveResult, error) {
 	return SweepReactive(ctx, l, config, cfgs)
 }

@@ -235,8 +235,18 @@ func TestLabProgressEvents(t *testing.T) {
 	}
 }
 
+// directReactive evaluates cfg on sys without a Lab: Characterize
+// followed by EvaluateReactive.
+func directReactive(sys *System, cfg ReactiveConfig) (ReactiveResult, error) {
+	ch, err := sys.Characterize(cfg.Scheme)
+	if err != nil {
+		return ReactiveResult{}, err
+	}
+	return sys.EvaluateReactive(ch, cfg)
+}
+
 // TestLabReactiveSharesOrbit: a reactive parameter sweep through the lab
-// matches the fused System.RunReactive bit for bit while characterizing
+// matches a direct System evaluation bit for bit while characterizing
 // the orbit exactly once — including reusing a characterization left by a
 // periodic sweep.
 func TestLabReactiveSharesOrbit(t *testing.T) {
@@ -267,19 +277,19 @@ func TestLabReactiveSharesOrbit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, cfg := range cfgs {
-		want, err := built.System.RunReactive(cfg)
+		want, err := directReactive(built.System, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("reactive config %d differs from fused RunReactive", i)
+			t.Fatalf("reactive config %d differs from a direct evaluation", i)
 		}
 	}
 }
 
 // TestLabReactiveParallelMatchesSerial: reactive evaluations run on the
-// worker pool, mixing schemes, and still reproduce the fused
-// System.RunReactive bit for bit in input order — determinism survives
+// worker pool, mixing schemes, and still reproduce a direct System
+// evaluation bit for bit in input order — determinism survives
 // the parallelism.
 func TestLabReactiveParallelMatchesSerial(t *testing.T) {
 	ctx := context.Background()
@@ -305,12 +315,12 @@ func TestLabReactiveParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, cfg := range cfgs {
-		want, err := built.System.RunReactive(cfg)
+		want, err := directReactive(built.System, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("reactive config %d differs from fused RunReactive", i)
+			t.Fatalf("reactive config %d differs from a direct evaluation", i)
 		}
 	}
 }
@@ -375,7 +385,7 @@ func TestLabMixedSweep(t *testing.T) {
 			lab.Decodes(), ref.Decodes())
 	}
 
-	// The reactive arm is bitwise identical to the fused RunReactive.
+	// The reactive arm is bitwise identical to a direct evaluation.
 	outs, err := lab.SweepAll(ctx, pts)
 	if err != nil {
 		t.Fatal(err)
@@ -384,12 +394,12 @@ func TestLabMixedSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := built.System.RunReactive(rcfg)
+	want, err := directReactive(built.System, rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(*outs[1].Reactive, want) {
-		t.Fatal("mixed-sweep reactive result differs from fused RunReactive")
+		t.Fatal("mixed-sweep reactive result differs from a direct evaluation")
 	}
 }
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # check.sh mirrors CI locally: build, vet, tests, the full-tree race
-# detector, the hotnoclint invariant analyzers, the hotnocd service
-# smoke, staticcheck/govulncheck when installed, and a one-iteration
-# bench smoke over the scaled-down packages so bench code cannot rot.
+# detector, perfbench's vet and tests, the hotnoclint invariant analyzers,
+# the hotnocd service smoke, staticcheck/govulncheck when installed, and a
+# one-iteration bench smoke over the scaled-down packages so bench code
+# cannot rot.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -13,7 +14,9 @@ echo "== go test" && go test ./...
 echo "== thermal differential (banded vs dense reference, batched, singular)" \
     && go test -count=1 -run 'TestBanded|TestSteadySolveBatch|TestHotLoopsAllocationFree' ./internal/thermal
 echo "== go test -race (full tree)" && go test -race ./...
-echo "== hotnoclint (lockorder, noalloc, determinism, errcache)" \
+echo "== perfbench (separate module over internal/appmap, core, geom)" \
+    && go -C perfbench vet ./... && go -C perfbench test ./...
+echo "== hotnoclint (lockorder, noalloc, determinism, errcache, deadexport)" \
     && go run ./cmd/hotnoclint ./...
 echo "== service smoke (hotnocd + figure1/hotsim -server)" && sh scripts/service_smoke.sh
 
