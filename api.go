@@ -96,7 +96,10 @@ type (
 	// Characterization is the deterministic outcome of simulating one
 	// scheme's full orbit on the cycle-accurate NoC; it feeds any number
 	// of periodic (System.Evaluate) or reactive (System.EvaluateReactive)
-	// evaluations, and is what Lab caches across runs.
+	// evaluations, and is what Lab caches across runs. It is immutable
+	// plain data, so one characterization may be shared across
+	// goroutines; a System still may not, so each goroutine evaluates on
+	// its own (System.Clone).
 	Characterization = core.Characterization
 )
 

@@ -38,27 +38,60 @@ type LegActivity struct {
 // ablation, so one characterization serves every period and ablation
 // variant of the same (system, scheme) — the expensive NoC simulation runs
 // once and the cheap thermal evaluation runs per variant.
+//
+// A Characterization is plain, immutable data: nothing in it is tied to a
+// live System, so one value may be shared by any number of goroutines,
+// each evaluating it on its own System. It is also the unit the sweep
+// layer persists: every field is gob- and JSON-encodable, and float64
+// values survive a gob round trip bit-exactly, so evaluations of a
+// restored characterization are bitwise identical to the original's.
 type Characterization struct {
-	// Scheme is the migration scheme that was characterized.
-	Scheme Scheme
+	// SchemeName records which scheme produced the orbit, so evaluating
+	// it under the wrong scheme fails loudly instead of silently
+	// running the wrong legs.
+	SchemeName string
 	// BaselineCycles and BaselineBlockJ describe one block decoded at the
 	// static thermally-aware placement.
 	BaselineCycles int64
 	BaselineBlockJ []float64
 	// Legs covers the scheme's full orbit in order.
 	Legs []LegActivity
-
-	// baseCache memoizes the period-independent static-baseline thermal
-	// cycle per integrator option set, so repeated Evaluate calls pay for
-	// it once. Like the System it came from, a Characterization must not
-	// be evaluated from multiple goroutines.
-	baseCache map[baselineKey]thermal.CycleResult
 }
 
-// baselineKey identifies a baseline evaluation by the scalar integrator
-// options; custom leakage hooks are never cached (their identity cannot
-// be compared).
+// Validate checks the characterization's internal consistency for an
+// n-block chip. It is the gate a deserialized (possibly corrupt or stale)
+// cache entry must pass before the sweep layer will evaluate it.
+func (ch *Characterization) Validate(n int) error {
+	if ch.SchemeName == "" {
+		return fmt.Errorf("core: characterization has no scheme name")
+	}
+	if len(ch.Legs) == 0 {
+		return fmt.Errorf("core: characterization has no legs")
+	}
+	if ch.BaselineCycles <= 0 {
+		return fmt.Errorf("core: non-positive baseline cycles %d", ch.BaselineCycles)
+	}
+	if len(ch.BaselineBlockJ) != n {
+		return fmt.Errorf("core: baseline energies cover %d blocks, want %d",
+			len(ch.BaselineBlockJ), n)
+	}
+	for i, la := range ch.Legs {
+		if la.DecodeCycles <= 0 || la.Migration.Cycles <= 0 {
+			return fmt.Errorf("core: leg %d has non-positive cycle counts", i)
+		}
+		if len(la.DecodeBlockJ) != n || len(la.MigBlockJ) != n {
+			return fmt.Errorf("core: leg %d energies cover %d/%d blocks, want %d",
+				i, len(la.DecodeBlockJ), len(la.MigBlockJ), n)
+		}
+	}
+	return nil
+}
+
+// baselineKey identifies a baseline evaluation: the characterization and
+// the scalar integrator options. Custom leakage hooks are never cached
+// (their identity cannot be compared).
 type baselineKey struct {
+	ch      *Characterization
 	dt, tol float64
 	maxReps int
 }
@@ -77,10 +110,7 @@ func (s *System) Characterize(scheme Scheme) (*Characterization, error) {
 	}
 	g := s.Grid
 	net := s.Engine.Net
-	ch := &Characterization{
-		Scheme:    scheme,
-		baseCache: map[baselineKey]thermal.CycleResult{},
-	}
+	ch := &Characterization{SchemeName: scheme.Name}
 
 	// Static baseline decode.
 	if err := s.Engine.SetPlacement(s.InitialPlace); err != nil {
@@ -176,10 +206,10 @@ func (s *System) Evaluate(ch *Characterization, cfg EvalConfig) (RunResult, erro
 	// Static baseline steady cycle: independent of the period and the
 	// energy ablation, so it is computed once per characterization and
 	// option set, and replayed for every further variant.
-	key := baselineKey{dt: cfg.CycleOpts.Dt, tol: cfg.CycleOpts.TolC, maxReps: cfg.CycleOpts.MaxReps}
-	cacheable := cfg.CycleOpts.Leak == nil && ch.baseCache != nil
-	baseRes, cached := ch.baseCache[key]
-	if !cacheable || !cached {
+	key := baselineKey{ch: ch, dt: cfg.CycleOpts.Dt, tol: cfg.CycleOpts.TolC, maxReps: cfg.CycleOpts.MaxReps}
+	cacheable := cfg.CycleOpts.Leak == nil
+	baseRes := s.base.res
+	if !cacheable || s.base.key != key {
 		baseDur := float64(ch.BaselineCycles) / s.ClockHz
 		basePower := make([]float64, g.N())
 		for i, e := range ch.BaselineBlockJ {
@@ -192,7 +222,7 @@ func (s *System) Evaluate(ch *Characterization, cfg EvalConfig) (RunResult, erro
 			return RunResult{}, fmt.Errorf("core: baseline thermal: %w", err)
 		}
 		if cacheable {
-			ch.baseCache[key] = baseRes
+			s.base.key, s.base.res = key, baseRes
 		}
 	}
 	// Copy the per-block maxima so callers mutating the result cannot

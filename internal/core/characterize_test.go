@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -121,4 +124,149 @@ func TestCloneRunsIdentically(t *testing.T) {
 	if !reflect.DeepEqual(orig, again) {
 		t.Error("running the clone perturbed the original system")
 	}
+}
+
+// TestCharacterizationGobRoundTripEvaluatesIdentically: a
+// characterization serialized through gob and decoded again yields
+// evaluations — periodic and reactive — bitwise identical to the
+// original's. This is the property the sweep layer's disk cache rests on.
+// Interleaving the two values on one System also exercises the baseline
+// memo's characterization key.
+func TestCharacterizationGobRoundTripEvaluatesIdentically(t *testing.T) {
+	sys := buildSystem(t, 4)
+	ch, err := sys.Characterize(XYShift())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(ch); err != nil {
+		t.Fatal(err)
+	}
+	var restored Characterization
+	if err := gob.NewDecoder(&buf).Decode(&restored); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Validate(sys.Grid.N()); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ch, &restored) {
+		t.Fatal("gob round trip changed the characterization")
+	}
+
+	for _, cfg := range []EvalConfig{
+		{BlocksPerPeriod: 1},
+		{BlocksPerPeriod: 8, ExcludeMigrationEnergy: true},
+	} {
+		a, err := sys.Evaluate(ch, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := sys.Evaluate(&restored, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("blocks %d: evaluation of restored characterization differs", cfg.BlocksPerPeriod)
+		}
+	}
+
+	rcfg := ReactiveConfig{Scheme: XYShift(), TriggerC: 55, SimBlocks: 200, WarmupBlocks: 100}
+	ra, err := sys.EvaluateReactive(ch, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := sys.EvaluateReactive(&restored, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ra, rb) {
+		t.Fatal("reactive evaluation of restored characterization differs")
+	}
+}
+
+// TestCharacterizationValidateRejectsMalformed: Validate, the gate for
+// deserialized cache entries, rejects empty and inconsistent data.
+// (Evaluation under the wrong scheme is TestEvaluateReactiveMatchesFused's
+// last check.)
+func TestCharacterizationValidateRejectsMalformed(t *testing.T) {
+	sys := buildSystem(t, 4)
+	n := sys.Grid.N()
+	ch, err := sys.Characterize(Rot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ch.Validate(n); err != nil {
+		t.Fatalf("fresh characterization rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(*Characterization){
+		"empty":          func(c *Characterization) { *c = Characterization{} },
+		"no scheme name": func(c *Characterization) { c.SchemeName = "" },
+		"no legs":        func(c *Characterization) { c.Legs = nil },
+		"baseline size":  func(c *Characterization) { c.BaselineBlockJ = c.BaselineBlockJ[1:] },
+		"leg cycles": func(c *Characterization) {
+			c.Legs = append([]LegActivity(nil), c.Legs...)
+			c.Legs[0].Migration.Cycles = 0
+		},
+	} {
+		bad := *ch
+		mutate(&bad)
+		if err := bad.Validate(n); err == nil {
+			t.Errorf("%s: malformed characterization validated", name)
+		}
+	}
+	if err := ch.Validate(n); err != nil {
+		t.Fatalf("mutating copies changed the original: %v", err)
+	}
+}
+
+// TestCharacterizationSharedAcrossGoroutines: one characterization
+// evaluated concurrently, each goroutine on its own System clone, gives
+// every goroutine the serial results (computed from a second, identical
+// characterization, so the shared one is first evaluated concurrently);
+// under -race it also checks that evaluation never writes to the shared
+// characterization.
+func TestCharacterizationSharedAcrossGoroutines(t *testing.T) {
+	sys := buildSystem(t, 4)
+	ch, err := sys.Characterize(XYShift())
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := sys.Characterize(XYShift())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcfg := ReactiveConfig{Scheme: XYShift(), TriggerC: 55, SimBlocks: 100, WarmupBlocks: 50}
+	want, err := sys.Evaluate(serial, EvalConfig{BlocksPerPeriod: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantR, err := sys.EvaluateReactive(serial, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const workers = 4
+	clones := make([]*System, workers)
+	for i := range clones {
+		if clones[i], err = sys.Clone(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, cl := range clones {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := cl.Evaluate(ch, EvalConfig{BlocksPerPeriod: 2})
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("concurrent Evaluate: err %v, result differs: %v", err, !reflect.DeepEqual(got, want))
+			}
+			gotR, err := cl.EvaluateReactive(ch, rcfg)
+			if err != nil || !reflect.DeepEqual(gotR, wantR) {
+				t.Errorf("concurrent EvaluateReactive: err %v, result differs: %v", err, !reflect.DeepEqual(gotR, wantR))
+			}
+		}()
+	}
+	wg.Wait()
 }

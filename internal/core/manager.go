@@ -42,6 +42,14 @@ type System struct {
 
 	// thermEval caches the thermal LU factorisations across evaluations.
 	thermEval *thermal.Evaluator
+	// base memoizes the last static-baseline thermal cycle Evaluate
+	// computed. It depends only on the characterization and the
+	// integrator options, so every period and ablation variant of one
+	// characterization evaluated on this System pays for it once.
+	base struct {
+		key baselineKey
+		res thermal.CycleResult
+	}
 }
 
 // thermalEvaluator lazily creates the cached thermal evaluator.

@@ -90,15 +90,6 @@ type ReactiveResult struct {
 	BlockPeaks []float64
 }
 
-// legMeasurement is one orbit position's power-map view of a
-// characterization leg, the unit the reactive controller schedules.
-type legMeasurement struct {
-	decodeCycles int64
-	decodePower  []float64
-	migCycles    int64
-	migPower     []float64
-}
-
 // EvaluateReactive runs the threshold policy against an existing
 // characterization: the thermal state is integrated transiently from the
 // static placement's warm steady state, and at every block boundary the
@@ -116,9 +107,9 @@ func (s *System) EvaluateReactive(ch *Characterization, cfg ReactiveConfig) (Rea
 	if cfg.Scheme.StepFn == nil {
 		return ReactiveResult{}, fmt.Errorf("core: no migration scheme configured")
 	}
-	if cfg.Scheme.Name != ch.Scheme.Name {
+	if cfg.Scheme.Name != ch.SchemeName {
 		return ReactiveResult{}, fmt.Errorf("core: reactive config selects scheme %q but characterization is for %q",
-			cfg.Scheme.Name, ch.Scheme.Name)
+			cfg.Scheme.Name, ch.SchemeName)
 	}
 	cfg.setDefaults()
 	g := s.Grid
@@ -129,128 +120,74 @@ func (s *System) EvaluateReactive(ch *Characterization, cfg ReactiveConfig) (Rea
 	// the migration window plus the idle-clock power the halted PEs keep
 	// burning. The arithmetic mirrors Activity.PowerMap so the result is
 	// bit-identical to measuring the leg live.
-	legs := make([]*legMeasurement, orbit)
-	measure := func(k int) (*legMeasurement, error) {
-		if m := legs[k]; m != nil {
-			return m, nil
-		}
-		la := ch.Legs[k]
+	decodePower := make([][]float64, orbit)
+	migPower := make([][]float64, orbit)
+	for k, la := range ch.Legs {
 		decodeDur := float64(la.DecodeCycles) / s.ClockHz
-		decodePower := make([]float64, g.N())
+		decodePower[k] = make([]float64, g.N())
 		for i, e := range la.DecodeBlockJ {
-			decodePower[i] = e / decodeDur
+			decodePower[k][i] = e / decodeDur
 		}
 		migDur := float64(la.Migration.Cycles) / s.ClockHz
-		migPower := make([]float64, g.N())
+		migPower[k] = make([]float64, g.N())
 		for i, e := range la.MigBlockJ {
-			migPower[i] = e / migDur
+			migPower[k][i] = e / migDur
 		}
-		for i := range migPower {
-			migPower[i] += s.IdleFrac * decodePower[i]
+		for i := range migPower[k] {
+			migPower[k][i] += s.IdleFrac * decodePower[k][i]
 		}
-		m := &legMeasurement{
-			decodeCycles: la.DecodeCycles,
-			decodePower:  decodePower,
-			migCycles:    la.Migration.Cycles,
-			migPower:     migPower,
-		}
-		legs[k] = m
-		return m, nil
 	}
 
 	// Warm-start the thermal state from the static placement's
 	// leakage-closed steady state.
-	first, err := measure(0)
-	if err != nil {
-		return ReactiveResult{}, err
-	}
 	ev, err := s.thermalEvaluator()
 	if err != nil {
 		return ReactiveResult{}, err
 	}
-	// Scratch for the integration hot loop: die temperatures, leakage map
-	// and per-step power map are reused across every step of the horizon.
-	dieBuf := make([]float64, g.N())
-	leakBuf := make([]float64, g.N())
-	pmBuf := make([]float64, g.N())
-
-	ss := ev.Steady()
-	state := make([]float64, s.Therm.NNodes)
-	next := make([]float64, s.Therm.NNodes)
-	ss.SolveFullInto(state, first.decodePower)
-	for it := 0; it < 50; it++ {
-		s.Therm.DieTempsInto(dieBuf, state)
-		s.Leak.Into(leakBuf, dieBuf)
-		copy(pmBuf, first.decodePower)
-		for i, l := range leakBuf {
-			pmBuf[i] += l
-		}
-		ss.SolveFullInto(next, pmBuf)
-		done := maxAbsDiff(next, state) < 1e-4
-		state, next = next, state
-		if done {
-			break
-		}
-	}
-
 	tr, err := ev.Transient(cfg.Dt)
 	if err != nil {
 		return ReactiveResult{}, err
 	}
-	tr.SetState(state, 0)
+	leak := s.Leak.Into
+	if err := ev.WarmStart(tr, decodePower[0], leak, 1e-4); err != nil {
+		return ReactiveResult{}, fmt.Errorf("core: reactive thermal: %w", err)
+	}
 
 	res := ReactiveResult{PeakC: -math.MaxFloat64}
 	var meanAcc float64
 	var meanN int
-	recording := false
-	integrate := func(basePower []float64, durSec float64) {
-		steps := int(math.Round(durSec / cfg.Dt))
-		if steps < 1 {
-			steps = 1
+	record := func(die []float64) {
+		p, _ := thermal.Peak(die)
+		if p > res.PeakC {
+			res.PeakC = p
 		}
-		for i := 0; i < steps; i++ {
-			tr.DieInto(dieBuf)
-			s.Leak.Into(leakBuf, dieBuf)
-			copy(pmBuf, basePower)
-			for j, l := range leakBuf {
-				pmBuf[j] += l
-			}
-			tr.Step(pmBuf)
-			if !recording {
-				continue
-			}
-			tr.DieInto(dieBuf)
-			p, _ := thermal.Peak(dieBuf)
-			if p > res.PeakC {
-				res.PeakC = p
-			}
-			meanAcc += thermal.Mean(dieBuf)
-			meanN++
-		}
+		meanAcc += thermal.Mean(die)
+		meanN++
 	}
 
 	k := 0
 	var decodeCycles, migCycles int64
 	for blk := 0; blk < cfg.SimBlocks; blk++ {
-		recording = blk >= cfg.WarmupBlocks
-		m, err := measure(k)
-		if err != nil {
-			return ReactiveResult{}, err
-		}
-		integrate(m.decodePower, float64(m.decodeCycles)/s.ClockHz)
+		recording := blk >= cfg.WarmupBlocks
+		var observe func([]float64)
 		if recording {
-			decodeCycles += m.decodeCycles
+			observe = record
+		}
+		la := ch.Legs[k]
+		ev.Integrate(tr, decodePower[k], float64(la.DecodeCycles)/s.ClockHz, leak, observe)
+		if recording {
+			decodeCycles += la.DecodeCycles
 		}
 
-		tr.DieInto(dieBuf)
-		sensorPeak := quantize(maxOf(dieBuf), cfg.SensorQuantC)
+		sensorPeak, _ := thermal.Peak(tr.T[:g.N()])
+		sensorPeak = quantize(sensorPeak, cfg.SensorQuantC)
 		if cfg.PeaksEvery > 0 && blk%cfg.PeaksEvery == 0 {
 			res.BlockPeaks = append(res.BlockPeaks, sensorPeak)
 		}
 		if sensorPeak > cfg.TriggerC {
-			integrate(m.migPower, float64(m.migCycles)/s.ClockHz)
+			ev.Integrate(tr, migPower[k], float64(la.Migration.Cycles)/s.ClockHz, leak, observe)
 			if recording {
-				migCycles += m.migCycles
+				migCycles += la.Migration.Cycles
 				res.Migrations++
 			}
 			k = (k + 1) % orbit
@@ -263,23 +200,3 @@ func (s *System) EvaluateReactive(ch *Characterization, cfg ReactiveConfig) (Rea
 }
 
 func quantize(v, lsb float64) float64 { return math.Floor(v/lsb) * lsb }
-
-func maxOf(v []float64) float64 {
-	m := v[0]
-	for _, x := range v {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-func maxAbsDiff(a, b []float64) float64 {
-	m := 0.0
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
-		}
-	}
-	return m
-}

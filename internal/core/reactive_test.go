@@ -2,7 +2,11 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
+
+	"hotnoc/internal/power"
 )
 
 // runReactive evaluates the threshold policy from scratch: Characterize
@@ -221,5 +225,68 @@ func TestReactiveValidation(t *testing.T) {
 	bad.ClockHz = 0
 	if _, err := runReactive(&bad, ReactiveConfig{Scheme: Rot(), TriggerC: 60}); err == nil {
 		t.Fatal("invalid system accepted")
+	}
+}
+
+// TestReactiveRunawayIsAnError: with a leakage model that diverges at the
+// chip's power level, the reactive path fails with the same
+// electrothermal-runaway error as the periodic one instead of reporting
+// infinite temperatures.
+func TestReactiveRunawayIsAnError(t *testing.T) {
+	sys := buildSystem(t, 4)
+	ch, err := sys.Characterize(XYShift())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Leak = power.Leakage{P0W: 2, BetaPerC: 0.2, TRefC: 40}
+	const want = "electrothermal runaway"
+	if _, err := sys.Evaluate(ch, EvalConfig{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Evaluate: err = %v, want %q", err, want)
+	}
+	res, err := sys.EvaluateReactive(ch, ReactiveConfig{Scheme: XYShift(), TriggerC: 84, SimBlocks: 100})
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("EvaluateReactive: err = %v (peak %g, mean %g), want %q", err, res.PeakC, res.MeanC, want)
+	}
+}
+
+// TestEvaluateReactiveMatchesFused: reactive evaluation off a shared
+// characterization is bitwise identical to a from-scratch evaluation on
+// a fresh system, a repeated evaluation does not drift, and an
+// EvaluateReactive under a mismatched scheme errors.
+func TestEvaluateReactiveMatchesFused(t *testing.T) {
+	cfg := ReactiveConfig{Scheme: XYShift(), TriggerC: 55, SimBlocks: 300, WarmupBlocks: 150}
+
+	fused, err := runReactive(buildSystem(t, 4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sys := buildSystem(t, 4)
+	ch, err := sys.Characterize(XYShift())
+	if err != nil {
+		t.Fatal(err)
+	}
+	split, err := sys.EvaluateReactive(ch, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fused, split) {
+		t.Fatalf("shared-characterization reactive differs from from-scratch: %+v vs %+v",
+			split.PeakC, fused.PeakC)
+	}
+	// A second evaluation against the same characterization must not be
+	// perturbed by the first.
+	again, err := sys.EvaluateReactive(ch, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(split, again) {
+		t.Fatal("repeated reactive evaluation drifted")
+	}
+
+	if _, err := sys.EvaluateReactive(ch, ReactiveConfig{
+		Scheme: Rot(), TriggerC: 55, SimBlocks: 100,
+	}); err == nil {
+		t.Fatal("scheme/characterization mismatch accepted")
 	}
 }

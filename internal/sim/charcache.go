@@ -25,20 +25,22 @@ type CharKey struct {
 // diskChar is the on-disk envelope of one cache entry. The key is stored
 // alongside the payload so a renamed or copied file cannot serve the
 // wrong characterization, and GridN lets the payload be validated before
-// use.
+// use. gob matches struct fields by name, so the payload decodes from
+// any envelope whose Data carries the characterization's field names.
 type diskChar struct {
 	Version int
 	Key     CharKey
 	GridN   int
-	Data    core.CharData
+	Data    core.Characterization
 }
 
 // CharCache shares NoC characterizations across runs. In memory it is a
 // per-key singleflight: concurrent requests for one key block on a single
-// computation while different keys proceed in parallel. With a directory
-// configured, entries additionally persist as gob files, so a fresh
-// process pointed at the same directory skips the cycle-accurate NoC
-// stage entirely — and because gob round-trips float64 bit-exactly,
+// computation while different keys proceed in parallel, and every
+// requester then shares the one immutable *core.Characterization. With
+// a directory configured, entries additionally persist as gob files, so
+// a fresh process pointed at the same directory skips the cycle-accurate
+// NoC stage entirely — and because gob round-trips float64 bit-exactly,
 // results from a warm restart are bitwise identical to a cold run.
 // Corrupt, stale or mismatched disk entries are ignored (and overwritten
 // after recomputation), never fatal.
@@ -59,7 +61,7 @@ type diskChar struct {
 // service accretes over months.
 type CharCache struct {
 	disk   diskCache
-	flight singleflight[CharKey, *core.CharData]
+	flight singleflight[CharKey, *core.Characterization]
 }
 
 // NewCharCache returns a cache persisting under dir; an empty dir keeps
@@ -80,13 +82,13 @@ func NewCharCache(dir string, limit int) *CharCache {
 // returned to this caller and any goroutine that was blocked on the same
 // key, but is not cached: the key is cleared so the next request
 // retries.
-func (c *CharCache) Get(key CharKey, gridN int, compute func() (*core.CharData, error)) (*core.CharData, bool, error) {
+func (c *CharCache) Get(key CharKey, gridN int, compute func() (*core.Characterization, error)) (*core.Characterization, bool, error) {
 	return c.flight.do(key,
-		func() (*core.CharData, bool) {
+		func() (*core.Characterization, bool) {
 			d := c.load(key, gridN)
 			return d, d != nil
 		},
-		func() (*core.CharData, error) {
+		func() (*core.Characterization, error) {
 			d, err := compute()
 			if err != nil {
 				return nil, err
@@ -115,7 +117,7 @@ func (c *CharCache) path(key CharKey) string {
 // load restores a disk entry, returning nil on any problem — a missing,
 // unreadable, corrupt, stale-format or mismatched file means "compute it
 // again", never an error.
-func (c *CharCache) load(key CharKey, gridN int) *core.CharData {
+func (c *CharCache) load(key CharKey, gridN int) *core.Characterization {
 	var dc diskChar
 	if !c.disk.load(c.path(key), &dc) {
 		return nil
@@ -133,14 +135,14 @@ func (c *CharCache) load(key CharKey, gridN int) *core.CharData {
 }
 
 // save persists an entry best-effort; see diskCache.save.
-func (c *CharCache) save(key CharKey, gridN int, data *core.CharData) {
-	if data == nil {
+func (c *CharCache) save(key CharKey, gridN int, ch *core.Characterization) {
+	if ch == nil {
 		return
 	}
 	c.disk.save(c.path(key), diskChar{
 		Version: charFormatVersion,
 		Key:     key,
 		GridN:   gridN,
-		Data:    *data,
+		Data:    *ch,
 	})
 }

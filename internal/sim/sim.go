@@ -368,7 +368,7 @@ func (s *charSeen) first(key CharKey) bool {
 // already resolved — is the one that classifies it; a later chunk task
 // served from the freshly resolved entry cannot relabel the sweep's
 // compute as a hit.
-func (r *Runner) charFor(config string, scheme core.Scheme, prog func(Event), seen *charSeen) (*core.CharData, *chipcfg.Built, error) {
+func (r *Runner) charFor(config string, scheme core.Scheme, prog func(Event), seen *charSeen) (*core.Characterization, *chipcfg.Built, error) {
 	built, err := r.builtFor(config, prog)
 	if err != nil {
 		return nil, nil, err
@@ -377,7 +377,7 @@ func (r *Runner) charFor(config string, scheme core.Scheme, prog func(Event), se
 	account := seen.first(key)
 	//hotnoc:allow determinism wall-clock metric timing only
 	start := time.Now()
-	data, hit, err := r.chars.Get(key, built.System.Grid.N(), func() (*core.CharData, error) {
+	ch, hit, err := r.chars.Get(key, built.System.Grid.N(), func() (*core.Characterization, error) {
 		emit(prog, Event{Stage: StageCharacterizeStart, Config: config, Scale: r.opts.Scale,
 			Scheme: scheme.Name, Point: -1})
 		// The characterizing system is a private clone: one System holds
@@ -388,10 +388,7 @@ func (r *Runner) charFor(config string, scheme core.Scheme, prog func(Event), se
 		}
 		ch, err := sys.Characterize(scheme)
 		r.met.decodes.Add(sys.Engine.Decodes)
-		if err != nil {
-			return nil, err
-		}
-		return ch.Data(), nil
+		return ch, err
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("sim: config %s scheme %s: %w", config, scheme.Name, err)
@@ -402,7 +399,7 @@ func (r *Runner) charFor(config string, scheme core.Scheme, prog func(Event), se
 		emit(prog, Event{Stage: StageCharacterizeDone, Config: config, Scale: r.opts.Scale,
 			Scheme: scheme.Name, Point: -1, CacheHit: hit})
 	}
-	return data, built, nil
+	return ch, built, nil
 }
 
 // Built returns the calibrated build for one configuration at the
@@ -574,17 +571,13 @@ func (r *Runner) StreamWith(ctx context.Context, pts []Point, progress func(Even
 // characterization across kinds: a reactive point never re-simulates an
 // orbit a periodic point (or a cached run) already paid for.
 func (r *Runner) runTask(ctx context.Context, t task, pts []Point, out []Outcome, ready []chan struct{}, prog func(Event), seen *charSeen) error {
-	data, built, err := r.charFor(t.config, t.scheme, prog, seen)
+	ch, built, err := r.charFor(t.config, t.scheme, prog, seen)
 	if err != nil {
 		return err
 	}
 	sys, err := built.System.Clone()
 	if err != nil {
 		return fmt.Errorf("sim: config %s: clone: %w", t.config, err)
-	}
-	ch, err := core.FromData(t.scheme, data)
-	if err != nil {
-		return fmt.Errorf("sim: config %s scheme %s: %w", t.config, t.scheme.Name, err)
 	}
 	for _, idx := range t.cells {
 		if err := ctx.Err(); err != nil {

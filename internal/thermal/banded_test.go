@@ -265,15 +265,19 @@ func TestBandedSolveAliasing(t *testing.T) {
 }
 
 // TestHotLoopsAllocationFree pins the allocation-free contract of every
-// hot-path kernel: steady solve, transient step, and the full cycle loop
-// with the leakage closure engaged.
+// hot-path kernel: steady solve, transient step, and the evaluator's
+// electrothermal primitives (warm start, and integration with the
+// leakage closure and an observer engaged).
 func TestHotLoopsAllocationFree(t *testing.T) {
 	nw := testNetwork(t, 5)
 	ev, err := NewEvaluator(nw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := ev.Steady()
+	ss, err := NewSteadySolver(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr, err := ev.Transient(5e-6)
 	if err != nil {
 		t.Fatal(err)
@@ -284,12 +288,13 @@ func TestHotLoopsAllocationFree(t *testing.T) {
 	}
 	die := make([]float64, nw.NDie)
 	full := make([]float64, nw.NNodes)
-	leakBuf := make([]float64, nw.NDie)
 	leak := func(dst, temps []float64) {
 		for i, d := range temps {
 			dst[i] = 0.01 + 1e-4*d
 		}
 	}
+	peak := 0.0
+	observe := func(temps []float64) { peak, _ = Peak(temps) }
 
 	checks := []struct {
 		name string
@@ -298,11 +303,13 @@ func TestHotLoopsAllocationFree(t *testing.T) {
 		{"SolveInto", func() { ss.SolveInto(die, p) }},
 		{"SolveFullInto", func() { ss.SolveFullInto(full, p) }},
 		{"Step", func() { tr.Step(p) }},
-		{"DieInto", func() { tr.DieInto(die) }},
-		{"cycle step with leak", func() {
-			tr.DieInto(die)
-			leak(leakBuf, die)
-			tr.Step(p)
+		{"WarmStart", func() {
+			if err := ev.WarmStart(tr, p, leak, 1e-4); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Integrate with leak and observer", func() {
+			ev.Integrate(tr, p, 20e-6, leak, observe)
 		}},
 	}
 	for _, c := range checks {
@@ -310,6 +317,9 @@ func TestHotLoopsAllocationFree(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, c.fn); allocs != 0 {
 			t.Errorf("%s allocates %g times per op, want 0", c.name, allocs)
 		}
+	}
+	if peak == 0 {
+		t.Error("Integrate never called its observer")
 	}
 
 	// The cycle evaluation may allocate only its result (MaxPerBlock plus

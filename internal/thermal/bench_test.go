@@ -157,31 +157,31 @@ func BenchmarkTransientStep(b *testing.B) {
 	}
 }
 
-// BenchmarkCycleLoopStep measures one iteration of RunCycle's inner loop
-// with the leakage closure engaged — die extraction, leakage map, power
-// assembly, banded step; 0 allocs/op is pinned by the alloc guard.
+// BenchmarkCycleLoopStep measures one step of Evaluator.Integrate, the
+// loop every thermal evaluation runs, with the leakage closure engaged —
+// die extraction, leakage map, power assembly, banded step; 0 allocs/op
+// is pinned by the alloc guard.
 func BenchmarkCycleLoopStep(b *testing.B) {
 	nw := benchNetwork(b, 5)
-	tr, err := NewTransient(nw, 5e-6)
+	ev, err := NewEvaluator(nw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const dt = 5e-6
+	tr, err := ev.Transient(dt)
 	if err != nil {
 		b.Fatal(err)
 	}
 	base := benchPower(nw.NDie)
-	die := make([]float64, nw.NDie)
-	leak := make([]float64, nw.NDie)
-	pm := make([]float64, nw.NDie)
+	leak := func(dst, die []float64) {
+		for j, t := range die {
+			dst[j] = 0.012 * (1 + 0.018*(t-40))
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.DieInto(die)
-		for j, t := range die {
-			leak[j] = 0.012 * (1 + 0.018*(t-40))
-		}
-		copy(pm, base)
-		for j, l := range leak {
-			pm[j] += l
-		}
-		tr.Step(pm)
+		ev.Integrate(tr, base, dt, leak, nil)
 	}
 }
 

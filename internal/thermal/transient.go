@@ -89,12 +89,6 @@ func (tr *Transient) Step(blockPower []float64) {
 	tr.Time += tr.dt
 }
 
-// DieInto writes the current die-layer temperatures into dst without
-// allocating; dst must have NDie entries.
-//
-//hotnoc:noalloc
-func (tr *Transient) DieInto(dst []float64) { tr.nw.DieTempsInto(dst, tr.T) }
-
 // ScheduleEntry is one segment of a piecewise-constant power schedule: the
 // chip dissipates Power (per-block watts) for Duration seconds. A migration
 // scheme's orbit becomes one entry per distinct placement, plus entries for
@@ -181,15 +175,11 @@ func (ev *Evaluator) RunCycle(entries []ScheduleEntry, opts CycleOptions) (Cycle
 	if err != nil {
 		return CycleResult{}, err
 	}
-	sc := ev.scratch()
 
-	// Warm start: the heat-sink time constant (~RConvection·CSink, minutes)
-	// dwarfs the schedule period, so integrating from ambient would take
-	// millions of repetitions to warm the package. Instead start from the
-	// steady state of the time-averaged power map (iterating the leakage
-	// feedback to a fixed point), which the quasi-steady cycle orbits
-	// around; convergence then takes only a handful of repetitions.
-	avg := sc.avg
+	// Warm start from the steady state of the time-averaged power map,
+	// which the quasi-steady cycle orbits around; convergence then takes
+	// only a handful of repetitions.
+	avg := ev.sc.avg
 	for i := range avg {
 		avg[i] = 0
 	}
@@ -199,69 +189,18 @@ func (ev *Evaluator) RunCycle(entries []ScheduleEntry, opts CycleOptions) (Cycle
 			avg[i] += w * p
 		}
 	}
-	ss := ev.ss
-	withLeak := sc.withLeak
-	copy(withLeak, avg)
-	state, next := sc.state, sc.stateNext
-	ss.SolveFullInto(state, withLeak)
-	if opts.Leak != nil {
-		for it := 0; it < 50; it++ {
-			nw.DieTempsInto(sc.die, state)
-			opts.Leak(sc.leak, sc.die)
-			copy(withLeak, avg)
-			for i, l := range sc.leak {
-				withLeak[i] += l
-			}
-			ss.SolveFullInto(next, withLeak)
-			done := vecMaxAbsDiff(next, state) < opts.TolC/10
-			state, next = next, state
-			if err := checkFinite(state); err != nil {
-				return CycleResult{}, fmt.Errorf("thermal: electrothermal runaway during warm start (leakage diverges at this power level): %w", err)
-			}
-			if done {
-				break
-			}
-		}
-	}
-	tr.SetState(state, 0)
-
-	power := sc.power
-	runEntry := func(e ScheduleEntry, record *CycleResult, meanAcc *float64, samples *int) {
-		steps := int(math.Round(e.Duration / opts.Dt))
-		if steps < 1 {
-			steps = 1
-		}
-		for s := 0; s < steps; s++ {
-			copy(power, e.Power)
-			if opts.Leak != nil {
-				nw.DieTempsInto(sc.die, tr.T)
-				opts.Leak(sc.leak, sc.die)
-				for i, l := range sc.leak {
-					power[i] += l
-				}
-			}
-			tr.Step(power)
-			if record != nil {
-				for i := 0; i < nw.NDie; i++ {
-					t := tr.T[i]
-					if t > record.MaxPerBlock[i] {
-						record.MaxPerBlock[i] = t
-					}
-					*meanAcc += t
-				}
-				*samples += nw.NDie
-			}
-		}
+	if err := ev.WarmStart(tr, avg, opts.Leak, opts.TolC/10); err != nil {
+		return CycleResult{}, err
 	}
 
 	// Convergence check against a ping-pong copy of the repetition-start
 	// state instead of a tr.State() clone per repetition.
-	prev := sc.prev
+	prev := ev.sc.prev
 	copy(prev, tr.T)
 	reps := 0
 	for ; reps < opts.MaxReps; reps++ {
 		for _, e := range entries {
-			runEntry(e, nil, nil, nil)
+			ev.Integrate(tr, e.Power, e.Duration, opts.Leak, nil)
 		}
 		if vecMaxAbsDiff(tr.T, prev) < opts.TolC {
 			reps++
@@ -279,8 +218,17 @@ func (ev *Evaluator) RunCycle(entries []ScheduleEntry, opts CycleOptions) (Cycle
 		res.MaxPerBlock[i] = -math.MaxFloat64
 	}
 	meanAcc, samples := 0.0, 0
+	record := func(die []float64) {
+		for i, t := range die {
+			if t > res.MaxPerBlock[i] {
+				res.MaxPerBlock[i] = t
+			}
+			meanAcc += t
+		}
+		samples += len(die)
+	}
 	for _, e := range entries {
-		runEntry(e, &res, &meanAcc, &samples)
+		ev.Integrate(tr, e.Power, e.Duration, opts.Leak, record)
 	}
 	res.PeakC, res.PeakBlock = Peak(res.MaxPerBlock)
 	res.MeanC = meanAcc / float64(samples)

@@ -66,7 +66,8 @@ func newJob(ctx context.Context, id, tenant string, scale, points, seq int, canc
 		notify:    make(chan struct{}),
 		state:     wire.JobQueued,
 	}
-	j.append(wire.EventState, wire.StateMsg{State: wire.JobQueued, Tenant: tenant})
+	// A StateMsg holds only strings, so it always marshals.
+	_ = j.append(wire.EventState, wire.StateMsg{State: wire.JobQueued, Tenant: tenant})
 	return j
 }
 
@@ -90,17 +91,18 @@ func (j *job) setStage(stage string) {
 	j.mu.Unlock()
 }
 
-// append marshals v and adds it to the event log, waking subscribers.
-func (j *job) append(event string, v any) {
+// append marshals v and adds it to the event log, waking subscribers. A
+// value that does not marshal (an outcome carrying a non-finite float)
+// leaves the log untouched and returns the error.
+func (j *job) append(event string, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
-		// Wire payloads are plain data; a marshal failure is a
-		// programming error, but dropping the event beats wedging the job.
-		return
+		return err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.appendLocked(event, data)
+	return nil
 }
 
 func (j *job) appendLocked(event string, data []byte) {

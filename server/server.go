@@ -620,7 +620,9 @@ func (s *Server) runJob(ts *tenantState, qj *queuedJob) {
 		case hotnoc.StageEvaluateDone:
 			j.setStage("evaluate")
 		}
-		j.append(wire.EventProgress, wire.FromEvent(ev))
+		// An EventMsg holds only strings, integers and a flag, so it
+		// always marshals.
+		_ = j.append(wire.EventProgress, wire.FromEvent(ev))
 	}
 	for out, err := range qj.sweep(j.ctx, qj.pts, progress) {
 		if err != nil {
@@ -631,7 +633,12 @@ func (s *Server) runJob(ts *tenantState, qj *queuedJob) {
 			j.fail(state, err)
 			return
 		}
-		j.append(wire.EventOutcome, wire.FromOutcome(idx, out))
+		// An outcome that cannot cross the wire fails the job rather
+		// than leaving a gap in the stream that a "done" would paper over.
+		if err := j.append(wire.EventOutcome, wire.FromOutcome(idx, out)); err != nil {
+			j.fail(wire.JobFailed, fmt.Errorf("outcome %d: %w", idx, err))
+			return
+		}
 		idx++
 		ts.met.points.Inc()
 	}

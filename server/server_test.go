@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"iter"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -14,6 +16,8 @@ import (
 
 	"hotnoc"
 	"hotnoc/client"
+	"hotnoc/internal/chipcfg"
+	"hotnoc/internal/core"
 	"hotnoc/server/wire"
 )
 
@@ -735,5 +739,49 @@ func waitForTerminal(t *testing.T, c *client.Client, id string) wire.JobInfo {
 			t.Fatalf("job %s never left the %s state", id, info.State)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestUnmarshalableOutcomeFailsJob: an outcome that cannot be encoded on
+// the wire (a non-finite temperature) fails the job, naming the outcome,
+// instead of being dropped from a stream that then reports done.
+func TestUnmarshalableOutcomeFailsJob(t *testing.T) {
+	srv, url := testServer(t, Config{})
+	srv.sweepHook = func(int) sweepFn {
+		return func(ctx context.Context, pts []hotnoc.SweepPoint, progress func(hotnoc.Event)) iter.Seq2[hotnoc.SweepOutcome, error] {
+			return func(yield func(hotnoc.SweepOutcome, error) bool) {
+				for i, p := range pts {
+					out := hotnoc.SweepOutcome{Point: p, Built: &chipcfg.Built{System: &core.System{}}}
+					if i == 0 {
+						out.Result.MigratedPeakC = math.Inf(1)
+					}
+					if !yield(out, nil) {
+						return
+					}
+				}
+			}
+		}
+	}
+	c := client.New(url, client.WithScale(testScale))
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	pts := []hotnoc.SweepPoint{
+		{Config: "A", Scheme: hotnoc.Rot(), Blocks: 1},
+		{Config: "A", Scheme: hotnoc.Rot(), Blocks: 4},
+	}
+	if _, err := c.SweepAll(ctx, pts); err == nil || !strings.Contains(err.Error(), "outcome 0") {
+		t.Fatalf("SweepAll err = %v, want the job's failure naming outcome 0", err)
+	}
+	jobs, err := c.Jobs(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 1 {
+		t.Fatalf("%d jobs listed, want 1", len(jobs))
+	}
+	j := jobs[0]
+	if j.State != wire.JobFailed || j.Done != 0 || !strings.Contains(j.Error, "outcome 0") {
+		t.Fatalf("job state=%s done=%d/%d error=%q, want failed 0/2 naming outcome 0",
+			j.State, j.Done, j.Points, j.Error)
 	}
 }
